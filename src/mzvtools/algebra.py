@@ -36,6 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import check
 from .lincomb import LinComb
 from .words import BinaryWord, Composition, GenericWord
 
@@ -149,7 +150,7 @@ def _reg_shuffle(letters):
             continue
         for rw, rc in _reg_shuffle(w):
             acc[rw] = acc.get(rw, Fraction(0)) + c * rc
-    assert seen_self == run, "run-peeling multiplicity mismatch"
+    check(seen_self == run, "run-peeling multiplicity mismatch")
     return tuple(sorted((w, -c / run) for w, c in acc.items() if c))
 
 
@@ -170,7 +171,7 @@ def _reg_stuffle(parts):
             continue
         for rw, rc in _reg_stuffle(w):
             acc[rw] = acc.get(rw, Fraction(0)) + c * rc
-    assert seen_self == m, "run-peeling multiplicity mismatch"
+    check(seen_self == m, "run-peeling multiplicity mismatch")
     return tuple(sorted((w, -c / m) for w, c in acc.items() if c))
 
 

@@ -30,7 +30,7 @@ from .feynman import (Graph, is_primitive_log_divergent, kirchhoff_polynomial,
                       match_period, period_monte_carlo)
 from .numerics import DEFAULT_SEED, GUARD, BigReal, mzv_eval, zeta_euler_maclaurin
 from .relations import (build_relation_matrix, decompose_in_hoffman_basis,
-                        dimension_upper_bound, matrix_rank)
+                        dimension_upper_bound, matrix_rank, relation_table)
 from .words import parse_binary_word, parse_composition, parse_generic_word
 
 
@@ -171,9 +171,8 @@ def _dispatch(args):
         rows = []
         lines = ["weight  2^(n-2)  rank  bound  d_n"]
         for n in range(2, args.max + 1):
-            matrix = build_relation_matrix(n, True, max(12, args.max))
-            rank = matrix_rank(matrix)
-            bound = 2 ** (n - 2) - rank
+            rank = matrix_rank(relation_table(n, True, max(12, args.max)))
+            bound = dimension_upper_bound(n, True, max(12, args.max))
             rows.append({"weight": n, "words": 2 ** (n - 2), "rank": rank,
                          "bound": bound, "d": dimension(n)})
             lines.append("%6d %8d %5d %6d %4d"
@@ -205,9 +204,10 @@ def _dispatch(args):
         result = detect(values, args.digits, args.height_bound)
         lines = [str(result)]
         if result.found:
-            lines.append("  i.e.  " + " + ".join(
-                "%d*[%s]" % (c, e) for c, e in zip(result.coefficients, args.exprs)
-                if c) + " = 0")
+            terms = " ".join("%s %d*[%s]" % ("-" if c < 0 else "+", abs(c), e)
+                             for c, e in zip(result.coefficients, args.exprs) if c)
+            # detect makes the first nonzero coefficient positive: drop its "+ "
+            lines.append("  i.e.  " + terms[2:] + " = 0")
         return result.to_json_obj(), lines, args.digits, None
 
     if cmd == "feynman":

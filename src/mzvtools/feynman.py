@@ -31,12 +31,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import check
 from .linalg import bareiss_det
 from .relations import DEFAULT_MAX_WEIGHT
-from .numerics import (DEFAULT_SEED, GUARD, MonteCarloEstimate, _substream,
-                       mzv_eval, zeta_euler_maclaurin)
-
-_BATCH = 1 << 16
+from .numerics import (DEFAULT_SEED, GUARD, monte_carlo, mzv_eval,
+                       zeta_euler_maclaurin)
 
 
 class Graph:
@@ -215,8 +214,8 @@ def kirchhoff_polynomial(graph):
     all_ids = frozenset(range(graph.n_edges))
     trees = _spanning_trees(frozenset(range(1, graph.n_vertices + 1)),
                             [(u, v, i) for i, (u, v) in enumerate(graph.edges)])
-    assert len(trees) == spanning_tree_count(graph), \
-        "deletion-contraction disagrees with the matrix-tree count"
+    check(len(trees) == spanning_tree_count(graph),
+          "deletion-contraction disagrees with the matrix-tree count")
     return GraphPolynomial(graph.n_edges, [all_ids - t for t in trees])
 
 
@@ -247,13 +246,9 @@ def period_monte_carlo(graph, samples, seed=DEFAULT_SEED):
     """Monte-Carlo estimate of the period integral of 1/Psi_G^2.
 
     Chart: the last edge variable is set to 1; the others map to u/(1-u)
-    over the unit cube.  The sample budget is split into fixed-size batches
-    on seed-derived substreams, so the estimate depends only on
-    (samples, seed), not on scheduling.
+    over the unit cube, sampled in batches by ``numerics.monte_carlo``, so
+    the estimate depends only on (samples, seed), not on scheduling.
     """
-    samples = int(samples)
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     if not is_primitive_log_divergent(graph):
         raise ValueError("%s is not primitive log-divergent; the period "
                          "integral does not converge" % (graph,))
@@ -264,26 +259,15 @@ def period_monte_carlo(graph, samples, seed=DEFAULT_SEED):
         for e in m:
             if e < n_free:
                 masks[row, e] = True
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    batch = 0
-    while done < samples:
-        count = min(_BATCH, samples - done)
-        u = _substream(seed, batch).random((count, n_free))
+
+    def integrand(u):
         one_minus = 1.0 - u
-        phi = np.zeros(count)
-        for row in range(masks.shape[0]):
-            sel = masks[row]
+        phi = np.zeros(len(u))
+        for sel in masks:
             phi += u[:, sel].prod(axis=1) * one_minus[:, ~sel].prod(axis=1)
-        f = 1.0 / (phi * phi)
-        s1 += float(f.sum())
-        s2 += float((f * f).sum())
-        done += count
-        batch += 1
-    mean = s1 / samples
-    var = max(s2 / samples - mean * mean, 0.0) * samples / (samples - 1)
-    return MonteCarloEstimate(mean, math.sqrt(var / samples), samples, seed)
+        return 1.0 / (phi * phi)
+
+    return monte_carlo(integrand, n_free, samples, seed)
 
 
 def _partitions(total, largest):

@@ -1,28 +1,23 @@
 """Exact linear algebra over the rationals, sized for relation matrices.
 
-Three rank engines with different cost profiles:
-
 * ``SparseRREF`` -- incremental reduced row echelon form over ``Fraction``
   with sparse rows and a configurable column priority for pivot choice.
   Rows are inserted one at a time; each insertion reduces the row against
   the current pivots and, if independent, back-substitutes so the basis
   stays fully reduced.  For relation matrices the reduced rows are
   supported on the pivot column plus the few free columns, which keeps the
-  whole computation cheap even at a thousand columns.
-* ``bareiss_rank`` / ``bareiss_det`` -- dense one-step fraction-free
-  elimination over unbounded integers (denominators cleared per row).
-  Exact, but intermediate entries are minors of the input, so this is for
-  small dense problems and for cross-checking the sparse path.
+  whole computation cheap even at a thousand columns.  Every reported rank
+  and decomposition comes from it.
+* ``bareiss_det`` -- dense one-step fraction-free elimination over
+  unbounded integers, for the matrix-tree count of spanning trees.
 * ``modular_rank`` -- elimination over GF(p) in vectorized numpy.  The
-  modular rank never exceeds the rational rank, so it serves as a fast
-  pre-pass and consistency check; reported results always come from the
-  exact engines.
+  modular rank never exceeds the rational rank, so it is only a lower
+  bound; no reported result comes from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -109,50 +104,6 @@ class SparseRREF:
         for row in rows:
             self.insert(row)
         return self.rank
-
-
-def _clear_row(row):
-    den = 1
-    for v in row:
-        if isinstance(v, Fraction):
-            den = den * v.denominator // gcd(den, v.denominator)
-    return [int(v * den) for v in row]
-
-
-def bareiss_rank(rows):
-    """Rank of a matrix (list of equal-length rows of ints or Fractions),
-    by one-step fraction-free elimination after clearing denominators."""
-    m = [_clear_row(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        for i in range(rank + 1, len(m)):
-            ri = m[i]
-            if ri[col]:
-                f = ri[col]
-                for j in range(col + 1, ncols):
-                    ri[j] = (pr[col] * ri[j] - f * pr[j]) // prev
-                ri[col] = 0
-            else:
-                for j in range(col + 1, ncols):
-                    ri[j] = (pr[col] * ri[j]) // prev
-        prev = pr[col]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def bareiss_det(rows):

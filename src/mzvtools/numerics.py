@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mp, mpf
 
-from .words import Composition
+from .words import Composition, letters_to_parts
 
 GUARD = 10
 DEFAULT_SEED = 42
@@ -257,21 +257,11 @@ def _mzv_raw(parts, dps):
         for k in range(n + 1):
             lower = letters[:k]
             upper = tuple(1 - a for a in reversed(letters[k:]))
-            f1 = _polylog_half(_letters_to_parts(lower), dps)
-            f2 = _polylog_half(_letters_to_parts(upper), dps)
+            # both path pieces of a convergent word start with the letter 1
+            f1 = _polylog_half(letters_to_parts(lower), dps)
+            f2 = _polylog_half(letters_to_parts(upper), dps)
             total += f1 * f2
         return total
-
-
-def _letters_to_parts(letters):
-    # letters here always start with 1 (path pieces of a convergent word)
-    parts = []
-    for a in letters:
-        if a == 1:
-            parts.append(1)
-        else:
-            parts[-1] += 1
-    return tuple(parts)
 
 
 def mzv_eval(comp, digits):
@@ -301,12 +291,14 @@ def _substream(seed, index):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
 
 
-def hypercube_zeta2(samples, seed=DEFAULT_SEED):
-    """Monte-Carlo estimate of the integral of 1/(1-xy) over the unit square.
+def monte_carlo(integrand, dimension, samples, seed):
+    """Monte-Carlo estimate of an integral over the unit cube of a dimension.
 
-    The sample budget is split into fixed-size batches, each drawn from its
-    own seed-derived substream, so the combined estimate depends only on
-    (samples, seed) and not on how the batches are scheduled.
+    ``integrand`` maps a (count, dimension) array of uniform points to their
+    count values.  The sample budget is split into fixed-size batches, each
+    drawn from its own seed-derived substream, so the combined estimate
+    depends only on (samples, seed) and not on how the batches are
+    scheduled.
     """
     samples = int(samples)
     if samples < 2:
@@ -317,8 +309,7 @@ def hypercube_zeta2(samples, seed=DEFAULT_SEED):
     batch = 0
     while done < samples:
         count = min(_BATCH, samples - done)
-        u = _substream(seed, batch).random((count, 2))
-        f = 1.0 / (1.0 - u[:, 0] * u[:, 1])
+        f = integrand(_substream(seed, batch).random((count, dimension)))
         s1 += float(f.sum())
         s2 += float((f * f).sum())
         done += count
@@ -326,3 +317,8 @@ def hypercube_zeta2(samples, seed=DEFAULT_SEED):
     mean = s1 / samples
     var = max(s2 / samples - mean * mean, 0.0) * samples / (samples - 1)
     return MonteCarloEstimate(mean, math.sqrt(var / samples), samples, seed)
+
+
+def hypercube_zeta2(samples, seed=DEFAULT_SEED):
+    """Monte-Carlo estimate of the integral of 1/(1-xy) over the unit square."""
+    return monte_carlo(lambda u: hypercube_integrand(u[:, 0], u[:, 1]), 2, samples, seed)

@@ -8,7 +8,7 @@ the shuffle of the binary encodings, pulled back to compositions, minus the
 stuffle of the compositions.  Mixing in the single divergent word (1)
 still produces a valid relation because the lone divergent term appears
 once on both sides and cancels: x1 sh X_n minus (1) st n is supported on
-convergent compositions only (asserted, not assumed).
+convergent compositions only (checked, not assumed).
 
 Collecting all such rows at a fixed weight and eliminating exactly yields
 an upper bound 2^(weight-2) - rank for the dimension of the span of that
@@ -16,14 +16,19 @@ weight's zeta values, and the reduced echelon form doubles as a rewriting
 table into the Hoffman words (parts in {2, 3}): the pivot priority visits
 non-Hoffman columns first, so the free columns land on Hoffman words
 whenever the relations allow it.
+
+Each weight's matrix is built once per process (``relation_table``) and
+carries its echelon form, so rank bounds, decompositions and ``mzv dims``
+all read the same table.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import shuffle, stuffle
 from .dims import count_hoffman_words, dimension
+from .errors import check
 from .lincomb import LinComb
 from .linalg import SparseRREF
 from .words import Composition, enumerate_compositions, from_binary
@@ -107,7 +112,7 @@ def hoffman_relation(n):
     """The relation from multiplying by the divergent word (1) both ways.
 
     Computes x1 sh X_n minus (1) st n on the full composition span and
-    asserts that the divergent terms cancel exactly before wrapping the
+    checks that the divergent terms cancel exactly before wrapping the
     rest as a Relation.
     """
     if not isinstance(n, Composition):
@@ -117,22 +122,24 @@ def hoffman_relation(n):
     one = Composition((1,))
     combo = _shuffle_on_compositions(one, n) - stuffle(one, n)
     bad = [w for w, _ in combo.terms() if not w.is_convergent]
-    assert not bad, "divergent terms failed to cancel: %s" % (bad,)
+    check(not bad, "divergent terms failed to cancel: %s" % (bad,))
     return Relation(combo, "hoffman %s" % (n,))
 
 
 class RelationMatrix:
     """All double-shuffle (and optionally Hoffman) rows at one weight,
     expressed over the convergent compositions of that weight in canonical
-    order."""
+    order.  The echelon form is computed at most once and kept
+    (``echelon_form``)."""
 
-    __slots__ = ("weight", "basis", "relations", "_index")
+    __slots__ = ("weight", "basis", "relations", "_index", "_echelon")
 
     def __init__(self, weight, basis, relations):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "basis", list(basis))
         object.__setattr__(self, "relations", list(relations))
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.basis)})
+        object.__setattr__(self, "_echelon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RelationMatrix is immutable")
@@ -156,6 +163,14 @@ class RelationMatrix:
         return self._index[comp]
 
 
+def _check_weight(weight, max_weight):
+    if weight < 2:
+        raise ValueError("weight must be >= 2")
+    if weight > max_weight:
+        raise ValueError("weight %d exceeds the cap %d; raise max_weight "
+                         "explicitly for longer runs" % (weight, max_weight))
+
+
 def build_relation_matrix(weight, include_hoffman=True, max_weight=DEFAULT_MAX_WEIGHT):
     """Collect the relation rows at the given weight, deterministically.
 
@@ -164,11 +179,7 @@ def build_relation_matrix(weight, include_hoffman=True, max_weight=DEFAULT_MAX_W
     m then n; then the Hoffman rows over convergent words of weight-1 in
     canonical order.
     """
-    if weight < 2:
-        raise ValueError("weight must be >= 2")
-    if weight > max_weight:
-        raise ValueError("weight %d exceeds the cap %d; raise max_weight "
-                         "explicitly for longer runs" % (weight, max_weight))
+    _check_weight(weight, max_weight)
     basis = enumerate_compositions(weight, convergent_only=True)
     relations = []
     for wm in range(2, weight - 1):
@@ -184,6 +195,24 @@ def build_relation_matrix(weight, include_hoffman=True, max_weight=DEFAULT_MAX_W
         for n in enumerate_compositions(weight - 1, convergent_only=True):
             relations.append(hoffman_relation(n))
     return RelationMatrix(weight, basis, relations)
+
+
+def relation_table(weight, include_hoffman=True, max_weight=DEFAULT_MAX_WEIGHT):
+    """The relation matrix at a weight, built at most once per process.
+
+    The cap is checked on every call, cached weights included.  The matrix
+    and its echelon form are shared by every caller and must not be
+    mutated.
+    """
+    _check_weight(weight, max_weight)
+    return _table(weight, include_hoffman)
+
+
+# Enough for every weight from 2 to the default cap with room to spare; the
+# bound matters because the weight-12 matrix alone holds 79k terms.
+@lru_cache(maxsize=16)
+def _table(weight, include_hoffman):
+    return build_relation_matrix(weight, include_hoffman, weight)
 
 
 def _hoffman_last_priority(basis):
@@ -203,10 +232,16 @@ def _hoffman_last_priority(basis):
 
 
 def echelon_form(matrix):
-    """Exact reduced row echelon form of a RelationMatrix (SparseRREF)."""
-    rref = SparseRREF(priority=_hoffman_last_priority(matrix.basis))
-    rref.insert_all(matrix.rows())
-    return rref
+    """Exact reduced row echelon form of a RelationMatrix (SparseRREF).
+
+    Computed on the first call and kept on the matrix; the result is shared,
+    so callers must not insert rows into it.
+    """
+    if matrix._echelon is None:
+        rref = SparseRREF(priority=_hoffman_last_priority(matrix.basis))
+        rref.insert_all(matrix.rows())
+        object.__setattr__(matrix, "_echelon", rref)
+    return matrix._echelon
 
 
 def matrix_rank(matrix):
@@ -218,24 +253,13 @@ def dimension_upper_bound(weight, include_hoffman=True, max_weight=DEFAULT_MAX_W
 
     Every row is a true relation, so this is a rigorous upper bound for the
     dimension of the weight-graded span of zeta values; a value below the
-    d_n of the dimension recurrence would mean a false relation and is
-    asserted against."""
-    matrix = build_relation_matrix(weight, include_hoffman, max_weight)
+    d_n of the dimension recurrence would mean a false relation and raises
+    InvariantError."""
+    matrix = relation_table(weight, include_hoffman, max_weight)
     bound = 2 ** (weight - 2) - matrix_rank(matrix)
-    assert bound >= dimension(weight), \
-        "bound %d fell below d_%d = %d: some relation is false" \
-        % (bound, weight, dimension(weight))
+    check(bound >= dimension(weight), "bound %d fell below d_%d = %d: some relation is false"
+          % (bound, weight, dimension(weight)))
     return bound
-
-
-_ECHELON_CACHE = {}
-
-
-def _cached_echelon(weight, max_weight):
-    if weight not in _ECHELON_CACHE:
-        matrix = build_relation_matrix(weight, True, max_weight)
-        _ECHELON_CACHE[weight] = (matrix, echelon_form(matrix))
-    return _ECHELON_CACHE[weight]
 
 
 def decompose_in_hoffman_basis(comp, max_weight=DEFAULT_MAX_WEIGHT):
@@ -252,7 +276,8 @@ def decompose_in_hoffman_basis(comp, max_weight=DEFAULT_MAX_WEIGHT):
     weight = comp.weight
     if weight < 2:
         return LinComb.term(comp)  # the empty word; weight-1 words all diverge
-    matrix, rref = _cached_echelon(weight, max_weight)
+    matrix = relation_table(weight, True, max_weight)
+    rref = echelon_form(matrix)
     col = matrix.column_of(comp)
     if col in rref.pivot_rows:
         terms = []
@@ -277,5 +302,6 @@ def hoffman_words(weight):
     """The Hoffman words of a weight, in canonical order."""
     out = [c for c in enumerate_compositions(weight, convergent_only=True)
            if is_hoffman(c)]
-    assert len(out) == count_hoffman_words(weight)
+    check(len(out) == count_hoffman_words(weight),
+          "Hoffman words at weight %d disagree with their count" % weight)
     return out

@@ -184,18 +184,22 @@ def from_binary(word):
     no composition); it may end with 1, giving a divergent composition.
     """
     w = word.letters if isinstance(word, BinaryWord) else BinaryWord(word).letters
-    if not w:
-        return Composition()
-    if w[0] != 1:
+    if w and w[0] != 1:
         raise ValueError("binary word %s starts with 0 and encodes no composition"
                          % ("".join(map(str, w)),))
+    return Composition(letters_to_parts(w))
+
+
+def letters_to_parts(letters):
+    """The part tuple encoded by a tuple of letters that is empty or starts
+    with 1: each 1 opens a part and each 0 adds one to the open part."""
     parts = []
-    for a in w:
+    for a in letters:
         if a == 1:
             parts.append(1)
         else:
             parts[-1] += 1
-    return Composition(parts)
+    return tuple(parts)
 
 
 def enumerate_compositions(weight, convergent_only=False):

@@ -74,6 +74,7 @@ def test_detect_euler(capsys):
     code, out, _ = run(capsys, "detect", "(1,2)", "(3)", "--digits", "40")
     assert code == 0
     assert "[1, -1]" in out
+    assert "  i.e.  1*[(1,2)] - 1*[(3)] = 0" in out.splitlines()
 
 
 def test_detect_with_rational_factors(capsys):

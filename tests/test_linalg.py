@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvtools.linalg import (DEFAULT_PRIME, SparseRREF, bareiss_det,
-                             bareiss_rank, modular_rank)
+from mzvtools.linalg import DEFAULT_PRIME, SparseRREF, bareiss_det, modular_rank
 
 
 def gauss_rank(rows, n_cols):
@@ -46,8 +45,6 @@ def test_rank_engines_agree(seed):
     rref.insert_all(dict(r) for r in rows)
     assert rref.rank == expected
 
-    assert bareiss_rank([[r.get(j, Fraction(0)) for j in range(n_cols)]
-                         for r in rows]) == expected
     assert modular_rank(rows, n_cols) == expected
 
 
@@ -134,13 +131,6 @@ def test_bareiss_det_matches_cofactor_expansion(seed):
 def test_bareiss_det_singular():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert bareiss_det(m) == 0
-
-
-def test_bareiss_rank_with_fractional_entries():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)],
-            [Fraction(0), Fraction(0)]]
-    assert bareiss_rank(rows) == gauss_rank(
-        [{j: v for j, v in enumerate(r) if v} for r in rows], 2)
 
 
 def test_modular_rank_prime_is_large():

@@ -11,6 +11,9 @@ from mzvtools import (Composition, InsufficientRelationsError, LinComb,
                       build_relation_matrix, decompose_in_hoffman_basis,
                       dimension, dimension_upper_bound, hoffman_words,
                       matrix_rank, mzv_eval)
+from mzvtools import relations
+from mzvtools.cli import main
+from mzvtools.linalg import SparseRREF
 from mzvtools.relations import double_shuffle_relation, hoffman_relation, is_hoffman
 from mzvtools.words import enumerate_compositions
 
@@ -114,6 +117,36 @@ def test_weight_cap_enforced():
         build_relation_matrix(13)
     with pytest.raises(ValueError):
         build_relation_matrix(1)
+
+
+def test_weight_cap_checked_on_cached_weights():
+    decompose_in_hoffman_basis(Composition((1, 4)))
+    dimension_upper_bound(5)
+    with pytest.raises(ValueError):
+        decompose_in_hoffman_basis(Composition((1, 4)), max_weight=4)
+    with pytest.raises(ValueError):
+        dimension_upper_bound(5, max_weight=4)
+
+
+def test_decompose_and_dims_share_one_table(monkeypatch, capsys):
+    # one process, as in a session: the weight-10 rows are built and
+    # eliminated once, for the decomposition, and dims reads them back
+    relations._table.cache_clear()
+    builds, inserts = [], []
+    build = relations.build_relation_matrix
+    insert_all = SparseRREF.insert_all
+    monkeypatch.setattr(relations, "build_relation_matrix",
+                        lambda *args: builds.append(args[:2]) or build(*args))
+    monkeypatch.setattr(SparseRREF, "insert_all",
+                        lambda self, rows: inserts.append(len(rows)) or insert_all(self, rows))
+    assert main(["hoffman-decompose", "(1,9)"]) == 0
+    assert main(["dims", "--max", "10"]) == 0
+    assert builds == [(10, True)] + [(n, True) for n in range(2, 10)]
+    assert inserts.count(relations.relation_table(10).n_rows) == 1
+    assert len(inserts) == len(builds)
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["10", "256", "249", "7", "7"]
+    with pytest.raises(ValueError):
+        decompose_in_hoffman_basis(Composition((1, 9)), max_weight=9)
 
 
 def test_free_columns_are_the_hoffman_words():
