@@ -100,20 +100,14 @@ def stuffle(a, b):
 
 def shuffle_combo(x, y):
     """Bilinear extension of the shuffle product to linear combinations."""
-    total = LinComb()
-    for u, cu in x.terms():
-        for v, cv in y.terms():
-            total = total + (cu * cv) * shuffle(u, v)
-    return total
+    return LinComb([(w, cu * cv * c) for u, cu in x.terms() for v, cv in y.terms()
+                    for w, c in shuffle(u, v).terms()])
 
 
 def stuffle_combo(x, y):
     """Bilinear extension of the stuffle product to linear combinations."""
-    total = LinComb()
-    for u, cu in x.terms():
-        for v, cv in y.terms():
-            total = total + (cu * cv) * stuffle(u, v)
-    return total
+    return LinComb([(w, cu * cv * c) for u, cu in x.terms() for v, cv in y.terms()
+                    for w, c in stuffle(u, v).terms()])
 
 
 @lru_cache(maxsize=None)

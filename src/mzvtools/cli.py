@@ -29,8 +29,9 @@ from .dims import count_f_monomials, count_hoffman_words, dimension
 from .feynman import (Graph, is_primitive_log_divergent, kirchhoff_polynomial,
                       match_period, period_monte_carlo)
 from .numerics import DEFAULT_SEED, GUARD, BigReal, mzv_eval, zeta_euler_maclaurin
-from .relations import (build_relation_matrix, decompose_in_hoffman_basis,
-                        dimension_upper_bound, matrix_rank, relation_table)
+from .relations import (DEFAULT_MAX_WEIGHT, build_relation_matrix, check_weight,
+                        decompose_in_hoffman_basis, dimension_upper_bound,
+                        matrix_rank, relation_table)
 from .words import parse_binary_word, parse_composition, parse_generic_word
 
 
@@ -146,10 +147,11 @@ def _dispatch(args):
     if cmd == "relations":
         matrix = build_relation_matrix(args.weight, not args.no_hoffman,
                                        args.max_weight)
+        rels = matrix.relations
         obj = {"weight": matrix.weight,
                "basis": [str(w) for w in matrix.basis],
-               "relations": [r.to_json_obj() for r in matrix.relations]}
-        lines = [str(r) for r in matrix.relations]
+               "relations": [r.to_json_obj() for r in rels]}
+        lines = [str(r) for r in rels]
         lines.append("%d relations over %d convergent words"
                      % (matrix.n_rows, matrix.n_columns))
         return obj, lines, None, None
@@ -168,11 +170,13 @@ def _dispatch(args):
                              % (r["weight"], r["d"], r["words"], r["hoffman"],
                                 r["f_monomials"]))
             return {"table": rows}, lines, None, None
+        # fail on the cap before any table is built, not hours into the run
+        check_weight(max(args.max, 2), DEFAULT_MAX_WEIGHT)
         rows = []
         lines = ["weight  2^(n-2)  rank  bound  d_n"]
         for n in range(2, args.max + 1):
-            rank = matrix_rank(relation_table(n, True, max(12, args.max)))
-            bound = dimension_upper_bound(n, True, max(12, args.max))
+            rank = matrix_rank(relation_table(n))
+            bound = dimension_upper_bound(n)
             rows.append({"weight": n, "words": 2 ** (n - 2), "rank": rank,
                          "bound": bound, "d": dimension(n)})
             lines.append("%6d %8d %5d %6d %4d"

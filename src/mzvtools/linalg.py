@@ -2,9 +2,10 @@
 
 * ``SparseRREF`` -- incremental reduced row echelon form over ``Fraction``
   with sparse rows and a configurable column priority for pivot choice.
-  Rows are inserted one at a time; each insertion reduces the row against
-  the current pivots and, if independent, back-substitutes so the basis
-  stays fully reduced.  For relation matrices the reduced rows are
+  Rows are {column: int or Fraction} maps, inserted one at a time; each
+  insertion reduces the row against the current pivots and, if independent,
+  back-substitutes into every pivot row that holds the new pivot column, so
+  the basis stays fully reduced.  For relation matrices the reduced rows are
   supported on the pivot column plus the few free columns, which keeps the
   whole computation cheap even at a thousand columns.  Every reported rank
   and decomposition comes from it.
@@ -37,7 +38,6 @@ class SparseRREF:
     def __init__(self, priority=None):
         self.priority = priority if priority is not None else (lambda c: c)
         self.pivot_rows = {}   # pivot column -> {column: Fraction}, pivot entry == 1
-        self._touch = {}       # non-pivot column -> set of pivot columns whose rows hit it
 
     @property
     def rank(self):
@@ -57,15 +57,7 @@ class SparseRREF:
         out = {c: Fraction(v) for c, v in row.items() if v}
         # one pass suffices: pivot rows only touch non-pivot columns
         for c in [c for c in out if c in self.pivot_rows]:
-            coef = out.pop(c)
-            for cc, v in self.pivot_rows[c].items():
-                if cc == c:
-                    continue
-                s = out.get(cc, Fraction(0)) - coef * v
-                if s:
-                    out[cc] = s
-                elif cc in out:
-                    del out[cc]
+            _subtract(out, out.pop(c), self.pivot_rows[c], c)
         return out
 
     def insert(self, row):
@@ -79,31 +71,29 @@ class SparseRREF:
         p = min(out, key=self.priority)
         pv = out[p]
         new_row = {c: v / pv for c, v in out.items()}
-        for q in list(self._touch.get(p, ())):
-            target = self.pivot_rows[q]
-            coef = target.pop(p)
-            for cc, v in new_row.items():
-                if cc == p:
-                    continue
-                s = target.get(cc, Fraction(0)) - coef * v
-                if s:
-                    target[cc] = s
-                    self._touch.setdefault(cc, set()).add(q)
-                else:
-                    if cc in target:
-                        del target[cc]
-                    self._touch.get(cc, set()).discard(q)
-        self._touch.pop(p, None)
+        # back-substitute into every pivot row that holds the new pivot column
+        for target in self.pivot_rows.values():
+            coef = target.pop(p, None)
+            if coef is not None:
+                _subtract(target, coef, new_row, p)
         self.pivot_rows[p] = new_row
-        for cc in new_row:
-            if cc != p:
-                self._touch.setdefault(cc, set()).add(p)
         return p
 
     def insert_all(self, rows):
         for row in rows:
             self.insert(row)
         return self.rank
+
+
+def _subtract(target, coef, row, skip):
+    """target -= coef * row in place, over the columns of row except skip."""
+    for cc, v in row.items():
+        if cc != skip:
+            s = target.get(cc, Fraction(0)) - coef * v
+            if s:
+                target[cc] = s
+            elif cc in target:
+                del target[cc]
 
 
 def bareiss_det(rows):

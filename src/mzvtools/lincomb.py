@@ -60,17 +60,6 @@ class LinComb:
     def words(self):
         return sorted(self._coeffs, key=lambda w: w.sort_key())
 
-    def apply(self, f):
-        """Linear extension: sum coeff * f(word), where f maps a word to a
-        word or to another LinComb."""
-        total = LinComb()
-        for word, c in self._coeffs.items():
-            image = f(word)
-            if not isinstance(image, LinComb):
-                image = LinComb.term(image)
-            total = total + c * image
-        return total
-
     def __add__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented

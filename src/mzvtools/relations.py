@@ -5,9 +5,10 @@ A pair of nonempty convergent compositions m, n gives the relation
     (product as iterated integrals) - (product as nested sums) = 0:
 
 the shuffle of the binary encodings, pulled back to compositions, minus the
-stuffle of the compositions.  Mixing in the single divergent word (1)
-still produces a valid relation because the lone divergent term appears
-once on both sides and cancels: x1 sh X_n minus (1) st n is supported on
+stuffle of the compositions; every multiplicity in both is an integer, so
+a row is a map to ints.  Mixing in the single divergent word (1) still
+produces a valid relation because the lone divergent term appears once on
+both sides and cancels: x1 sh X_n minus (1) st n is supported on
 convergent compositions only (checked, not assumed).
 
 Collecting all such rows at a fixed weight and eliminating exactly yields
@@ -17,9 +18,9 @@ table into the Hoffman words (parts in {2, 3}): the pivot priority visits
 non-Hoffman columns first, so the free columns land on Hoffman words
 whenever the relations allow it.
 
-Each weight's matrix is built once per process (``relation_table``) and
-carries its echelon form, so rank bounds, decompositions and ``mzv dims``
-all read the same table.
+Each weight's matrix is built once per process (``relation_table``), holds
+its rows as {column: int} maps and carries its echelon form, so rank
+bounds, decompositions and ``mzv dims`` all read the same table.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .dims import count_hoffman_words, dimension
 from .errors import check
 from .lincomb import LinComb
 from .linalg import SparseRREF
-from .words import Composition, enumerate_compositions, from_binary
+from .words import Composition, enumerate_compositions, letters_to_parts
 
 DEFAULT_MAX_WEIGHT = 12
 
@@ -86,59 +87,68 @@ class Relation:
                 "combo": self.combo.to_json_obj()}
 
 
-def _shuffle_on_compositions(m, n):
-    """Shuffle of the binary encodings, pulled back to compositions.
+def _relation_row(m, n, columns):
+    """Shuffle minus stuffle of two compositions as an integer row.
 
-    Both encodings start with the letter 1, so every interleaving does too
-    and decodes to a composition.
+    The shuffle of the binary encodings is pulled back to part tuples (both
+    encodings start with the letter 1, so every interleaving decodes).
+    ``columns`` maps the part tuples of the weight's convergent words to
+    column keys; the result maps column keys to the nonzero integer
+    coefficients, in column order.  A nonzero term outside ``columns``
+    raises InvariantError.
     """
-    prod = shuffle(m.to_binary(), n.to_binary())
-    return prod.apply(from_binary)
+    acc = {}
+    for u, c in shuffle(m.to_binary(), n.to_binary()).terms():
+        parts = letters_to_parts(u.letters)
+        acc[parts] = acc.get(parts, 0) + int(c)
+    for w, c in stuffle(m, n).terms():
+        acc[w.parts] = acc.get(w.parts, 0) - int(c)
+    stray = [str(Composition(p)) for p, c in acc.items() if c and p not in columns]
+    check(not stray, "%s|%s leaves terms outside the convergent words: %s"
+          % (m, n, ", ".join(stray)))
+    return dict(sorted((columns[p], c) for p, c in acc.items() if c))
+
+
+def _require_convergent(*words):
+    for c in words:
+        if not isinstance(c, Composition):
+            raise TypeError("expected a Composition, got %r" % (c,))
+        if not c.parts or not c.is_convergent:
+            raise ValueError("needs nonempty convergent words, got %s" % (c,))
+
+
+def _relation(m, n, provenance):
+    words = enumerate_compositions(m.weight + n.weight, convergent_only=True)
+    return Relation(LinComb(_relation_row(m, n, {c.parts: c for c in words})), provenance)
 
 
 def double_shuffle_relation(m, n):
     """The relation (shuffle - stuffle) applied to two nonempty convergent
     compositions."""
-    for c in (m, n):
-        if not isinstance(c, Composition):
-            raise TypeError("expected a Composition, got %r" % (c,))
-        if not c.parts or not c.is_convergent:
-            raise ValueError("double shuffle needs nonempty convergent words, got %s" % (c,))
-    combo = _shuffle_on_compositions(m, n) - stuffle(m, n)
-    return Relation(combo, "double-shuffle %s|%s" % (m, n))
+    _require_convergent(m, n)
+    return _relation(m, n, "double-shuffle %s|%s" % (m, n))
 
 
 def hoffman_relation(n):
-    """The relation from multiplying by the divergent word (1) both ways.
-
-    Computes x1 sh X_n minus (1) st n on the full composition span and
-    checks that the divergent terms cancel exactly before wrapping the
-    rest as a Relation.
-    """
-    if not isinstance(n, Composition):
-        raise TypeError("expected a Composition, got %r" % (n,))
-    if not n.parts or not n.is_convergent:
-        raise ValueError("needs a nonempty convergent word, got %s" % (n,))
-    one = Composition((1,))
-    combo = _shuffle_on_compositions(one, n) - stuffle(one, n)
-    bad = [w for w, _ in combo.terms() if not w.is_convergent]
-    check(not bad, "divergent terms failed to cancel: %s" % (bad,))
-    return Relation(combo, "hoffman %s" % (n,))
+    """The relation from multiplying by the divergent word (1) both ways:
+    x1 sh X_n minus (1) st n, whose divergent terms cancel."""
+    _require_convergent(n)
+    return _relation(Composition((1,)), n, "hoffman %s" % (n,))
 
 
 class RelationMatrix:
     """All double-shuffle (and optionally Hoffman) rows at one weight,
     expressed over the convergent compositions of that weight in canonical
-    order.  The echelon form is computed at most once and kept
-    (``echelon_form``)."""
+    order: sparse {column index: int} rows, each with a provenance string.
+    The echelon form is computed at most once and kept (``echelon_form``)."""
 
-    __slots__ = ("weight", "basis", "relations", "_index", "_echelon")
+    __slots__ = ("weight", "basis", "provenance", "_sparse_rows", "_echelon")
 
-    def __init__(self, weight, basis, relations):
+    def __init__(self, weight, basis, rows, provenance):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "basis", list(basis))
-        object.__setattr__(self, "relations", list(relations))
-        object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.basis)})
+        object.__setattr__(self, "_sparse_rows", tuple(rows))
+        object.__setattr__(self, "provenance", tuple(provenance))
         object.__setattr__(self, "_echelon", None)
 
     def __setattr__(self, name, value):
@@ -150,20 +160,24 @@ class RelationMatrix:
 
     @property
     def n_rows(self):
-        return len(self.relations)
+        return len(self._sparse_rows)
 
     def rows(self):
-        """Sparse rows as {column index: Fraction} maps, in generation order."""
-        out = []
-        for rel in self.relations:
-            out.append({self._index[w]: c for w, c in rel.combo.terms()})
-        return out
+        """Sparse {column index: int} rows in generation order (shared: do not mutate)."""
+        return self._sparse_rows
+
+    @property
+    def relations(self):
+        """The rows as Relation objects, built on each access."""
+        return [Relation(LinComb({self.basis[c]: v for c, v in row.items()}), prov)
+                for row, prov in zip(self._sparse_rows, self.provenance)]
 
     def column_of(self, comp):
-        return self._index[comp]
+        return self.basis.index(comp)
 
 
-def _check_weight(weight, max_weight):
+def check_weight(weight, max_weight):
+    """Raise ValueError unless 2 <= weight <= max_weight."""
     if weight < 2:
         raise ValueError("weight must be >= 2")
     if weight > max_weight:
@@ -179,9 +193,11 @@ def build_relation_matrix(weight, include_hoffman=True, max_weight=DEFAULT_MAX_W
     m then n; then the Hoffman rows over convergent words of weight-1 in
     canonical order.
     """
-    _check_weight(weight, max_weight)
+    check_weight(weight, max_weight)
     basis = enumerate_compositions(weight, convergent_only=True)
-    relations = []
+    columns = {w.parts: i for i, w in enumerate(basis)}
+    rows = []
+    provenance = []
     for wm in range(2, weight - 1):
         wn = weight - wm
         if wm > wn:
@@ -190,11 +206,14 @@ def build_relation_matrix(weight, include_hoffman=True, max_weight=DEFAULT_MAX_W
         ns = enumerate_compositions(wn, convergent_only=True)
         for i, m in enumerate(ms):
             for n in (ns[i:] if wm == wn else ns):
-                relations.append(double_shuffle_relation(m, n))
+                rows.append(_relation_row(m, n, columns))
+                provenance.append("double-shuffle %s|%s" % (m, n))
     if include_hoffman:
+        one = Composition((1,))
         for n in enumerate_compositions(weight - 1, convergent_only=True):
-            relations.append(hoffman_relation(n))
-    return RelationMatrix(weight, basis, relations)
+            rows.append(_relation_row(one, n, columns))
+            provenance.append("hoffman %s" % (n,))
+    return RelationMatrix(weight, basis, rows, provenance)
 
 
 def relation_table(weight, include_hoffman=True, max_weight=DEFAULT_MAX_WEIGHT):
@@ -204,7 +223,7 @@ def relation_table(weight, include_hoffman=True, max_weight=DEFAULT_MAX_WEIGHT):
     and its echelon form are shared by every caller and must not be
     mutated.
     """
-    _check_weight(weight, max_weight)
+    check_weight(weight, max_weight)
     return _table(weight, include_hoffman)
 
 

@@ -1,9 +1,11 @@
 """CLI behavior: output shapes, the JSON manifest, determinism, exit codes."""
 
 import json
+from functools import lru_cache
 
 import pytest
 
+from mzvtools import relations
 from mzvtools.cli import main
 
 
@@ -56,6 +58,16 @@ def test_dims_rank_bounds(capsys):
     assert code == 0
     rows = [l.split() for l in out.strip().splitlines()[1:]]
     assert rows[-1] == ["5", "8", "6", "2", "2"]
+
+
+def test_dims_above_the_cap_fails_before_building(monkeypatch, capsys):
+    # a fresh, empty table cache for this test only
+    monkeypatch.setattr(relations, "_table", lru_cache(maxsize=16)(relations._table.__wrapped__))
+    code, out, err = run(capsys, "dims", "--max", "13")
+    assert code == 1
+    assert out == ""
+    assert "weight 13 exceeds the cap 12" in err
+    assert relations._table.cache_info().currsize == 0
 
 
 def test_hoffman_decompose(capsys):

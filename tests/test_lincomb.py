@@ -53,21 +53,6 @@ def test_mixing_word_kinds_rejected():
         combo(((2,), 1)) + LinComb.term(BinaryWord("10"))
 
 
-def test_apply_is_linear():
-    x = combo(((2,), 2), ((3,), -1))
-    doubled = x.apply(lambda w: LinComb.term(w, 2))
-    assert doubled == 2 * x
-    # mapping a word to a word is also allowed
-    shifted = x.apply(lambda w: Composition(w.parts + (2,)))
-    assert shifted == combo(((2, 2), 2), ((3, 2), -1))
-
-
-def test_apply_can_collapse_terms():
-    x = combo(((2,), 1), ((3,), 1))
-    y = x.apply(lambda w: Composition((2,)))
-    assert y == combo(((2,), 2))
-
-
 def test_terms_are_canonically_ordered():
     x = combo(((3,), 1), ((1, 2), 1), ((2,), 1))
     words = [w for w, _ in x.terms()]

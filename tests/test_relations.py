@@ -12,10 +12,12 @@ from mzvtools import (Composition, InsufficientRelationsError, LinComb,
                       dimension, dimension_upper_bound, hoffman_words,
                       matrix_rank, mzv_eval)
 from mzvtools import relations
+from mzvtools.algebra import shuffle, stuffle
 from mzvtools.cli import main
+from mzvtools.errors import InvariantError
 from mzvtools.linalg import SparseRREF
 from mzvtools.relations import double_shuffle_relation, hoffman_relation, is_hoffman
-from mzvtools.words import enumerate_compositions
+from mzvtools.words import enumerate_compositions, from_binary
 
 
 def comp_combo(*pairs):
@@ -78,6 +80,47 @@ def test_hoffman_row_divergence_cancels(n):
 def test_double_shuffle_rejects_divergent_input():
     with pytest.raises(ValueError):
         double_shuffle_relation(Composition((1,)), Composition((2,)))
+
+
+def _products(weight):
+    """The row products at a weight in the documented row order, with their
+    provenance strings."""
+    for wm in range(2, weight // 2 + 1):
+        ms = enumerate_compositions(wm, convergent_only=True)
+        ns = enumerate_compositions(weight - wm, convergent_only=True)
+        for i, m in enumerate(ms):
+            for n in (ns[i:] if 2 * wm == weight else ns):
+                yield m, n, "double-shuffle %s|%s" % (m, n)
+    for n in enumerate_compositions(weight - 1, convergent_only=True):
+        yield Composition((1,)), n, "hoffman %s" % (n,)
+
+
+@pytest.mark.parametrize("weight", range(3, 10))
+def test_rows_match_an_independent_pullback(weight):
+    # oracle: pull the shuffle back word by word and subtract the stuffle
+    # as LinCombs, then map the words to columns
+    matrix = build_relation_matrix(weight)
+    expected, provenance = [], []
+    for m, n, prov in _products(weight):
+        sh = shuffle(m.to_binary(), n.to_binary())
+        combo = LinComb([(from_binary(u), c) for u, c in sh.terms()]) - stuffle(m, n)
+        expected.append({matrix.column_of(w): c for w, c in combo.terms()})
+        provenance.append(prov)
+    assert list(matrix.rows()) == expected
+    assert list(matrix.provenance) == provenance
+    assert all(type(v) is int for row in matrix.rows() for v in row.values())
+
+
+def test_uncancelled_divergent_term_is_an_invariant_error(monkeypatch):
+    # drop the divergent term (n,1) from every stuffle: the shuffle's copy
+    # of it is left over in each Hoffman row
+    real = relations.stuffle
+    monkeypatch.setattr(relations, "stuffle", lambda a, b: LinComb(
+        [(w, c) for w, c in real(a, b).terms() if w.is_convergent]))
+    with pytest.raises(InvariantError, match=r"\(3,1\)"):
+        hoffman_relation(Composition((3,)))
+    with pytest.raises(InvariantError):
+        build_relation_matrix(5)
 
 
 def test_relation_rows_are_weight_homogeneous():
