@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -82,7 +83,7 @@ def _build_parser():
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--no-hoffman", action="store_true",
                    help="omit the rows that mix in the divergent word (1)")
-    p.add_argument("--max-weight", type=int, default=12)
+    p.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT)
 
     p = add("dims", "dimension table: counting (--table) or exact rank bounds (--max)")
     group = p.add_mutually_exclusive_group(required=True)
@@ -93,7 +94,7 @@ def _build_parser():
 
     p = add("hoffman-decompose", "rewrite a convergent word over the Hoffman words")
     p.add_argument("word", help='composition literal like "(1,3)"')
-    p.add_argument("--max-weight", type=int, default=12)
+    p.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT)
 
     p = add("eval", "evaluate a convergent multiple zeta value")
     p.add_argument("word", help='composition literal like "(2,3)"')
@@ -227,8 +228,10 @@ def _dispatch(args):
             return ({"graph": str(graph), "primitive_log_divergent": flag},
                     ["%s: %s" % (graph, "primitive log-divergent" if flag
                                  else "not primitive log-divergent")], None, None)
-        samples = int(float(args.samples))
-        est = period_monte_carlo(graph, samples, args.seed)
+        samples = float(args.samples)
+        if not math.isfinite(samples):
+            raise ValueError("--samples must be a finite count, got %r" % (args.samples,))
+        est = period_monte_carlo(graph, int(samples), args.seed)
         obj = {"graph": str(graph), "estimate": est.value, "stderr": est.stderr,
                "samples": est.samples, "seed": est.seed}
         lines = ["period estimate %.8f +- %.8f  (%d samples, seed %d)"

@@ -133,10 +133,12 @@ def detect(xs, digits=None, height_bound=10 ** 6):
     working precision); ``digits`` defaults to the smallest precision among
     the inputs.  Needs digits >= 20 + log10(height_bound) * len(xs), else
     the lattice cannot separate true relations from noise and a ValueError
-    is raised.
+    is raised, as it is for a height bound below 1.
     """
     if not 2 <= len(xs) <= 50:
         raise ValueError("detect needs between 2 and 50 values")
+    if height_bound < 1:
+        raise ValueError("height_bound must be >= 1, got %s" % (height_bound,))
     m = len(xs)
     pairs = [_as_mpf(x) for x in xs]
     digits = digits if digits is not None else min(p for _, p in pairs)

@@ -11,20 +11,11 @@
   and decomposition comes from it.
 * ``bareiss_det`` -- dense one-step fraction-free elimination over
   unbounded integers, for the matrix-tree count of spanning trees.
-* ``modular_rank`` -- elimination over GF(p) in vectorized numpy.  The
-  modular rank never exceeds the rational rank, so it is only a lower
-  bound; no reported result comes from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
-
-# A Mersenne prime; pairwise products of reduced residues stay below 2^62,
-# so GF(p) elimination runs in plain int64 without overflow.
-DEFAULT_PRIME = 2147483647
 
 
 class SparseRREF:
@@ -42,12 +33,6 @@ class SparseRREF:
     @property
     def rank(self):
         return len(self.pivot_rows)
-
-    def pivot_columns(self):
-        return sorted(self.pivot_rows)
-
-    def free_columns(self, n_columns):
-        return [c for c in range(n_columns) if c not in self.pivot_rows]
 
     def reduce(self, row):
         """Return the residue of ``row`` modulo the current row space.
@@ -119,38 +104,3 @@ def bareiss_det(rows):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def modular_rank(rows, n_columns, p=DEFAULT_PRIME):
-    """Rank over GF(p) of sparse rows ({column: rational} maps).
-
-    Always a lower bound for the rational rank; rows whose denominators
-    vanish mod p are rejected.
-    """
-    mat = np.zeros((len(rows), n_columns), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            f = Fraction(v)
-            if f.denominator % p == 0:
-                raise ValueError("denominator divisible by the modulus")
-            mat[i, c] = f.numerator * pow(f.denominator, -1, p) % p
-    rank = 0
-    nrows = len(rows)
-    for col in range(n_columns):
-        if rank == nrows:
-            break
-        nz = np.nonzero(mat[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            mat[[rank, piv]] = mat[[piv, rank]]
-        inv = pow(int(mat[rank, col]), -1, p)
-        mat[rank] = mat[rank] * inv % p
-        below = mat[rank + 1:, col]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            idx = rank + 1 + hit
-            mat[idx] = (mat[idx] - below[hit, None] * mat[rank][None, :]) % p
-        rank += 1
-    return rank

@@ -247,7 +247,6 @@ def multiple_polylog(comp, z, digits):
     return BigReal(value, digits)
 
 
-@lru_cache(maxsize=None)
 def _mzv_raw(parts, dps):
     word = Composition(parts).to_binary()
     letters = word.letters

@@ -19,8 +19,10 @@ non-Hoffman columns first, so the free columns land on Hoffman words
 whenever the relations allow it.
 
 Each weight's matrix is built once per process (``relation_table``), holds
-its rows as {column: int} maps and carries its echelon form, so rank
-bounds, decompositions and ``mzv dims`` all read the same table.
+its rows as {column: int} maps, each named by its product ("double-shuffle
+m|n" or "hoffman n"), and carries its echelon form, so rank bounds,
+decompositions and ``mzv dims`` all read the same table; a single relation
+is a row of that table, looked up by its name.
 """
 
 from __future__ import annotations
@@ -109,33 +111,6 @@ def _relation_row(m, n, columns):
     return dict(sorted((columns[p], c) for p, c in acc.items() if c))
 
 
-def _require_convergent(*words):
-    for c in words:
-        if not isinstance(c, Composition):
-            raise TypeError("expected a Composition, got %r" % (c,))
-        if not c.parts or not c.is_convergent:
-            raise ValueError("needs nonempty convergent words, got %s" % (c,))
-
-
-def _relation(m, n, provenance):
-    words = enumerate_compositions(m.weight + n.weight, convergent_only=True)
-    return Relation(LinComb(_relation_row(m, n, {c.parts: c for c in words})), provenance)
-
-
-def double_shuffle_relation(m, n):
-    """The relation (shuffle - stuffle) applied to two nonempty convergent
-    compositions."""
-    _require_convergent(m, n)
-    return _relation(m, n, "double-shuffle %s|%s" % (m, n))
-
-
-def hoffman_relation(n):
-    """The relation from multiplying by the divergent word (1) both ways:
-    x1 sh X_n minus (1) st n, whose divergent terms cancel."""
-    _require_convergent(n)
-    return _relation(Composition((1,)), n, "hoffman %s" % (n,))
-
-
 class RelationMatrix:
     """All double-shuffle (and optionally Hoffman) rows at one weight,
     expressed over the convergent compositions of that weight in canonical
@@ -216,22 +191,23 @@ def build_relation_matrix(weight, include_hoffman=True, max_weight=DEFAULT_MAX_W
     return RelationMatrix(weight, basis, rows, provenance)
 
 
-def relation_table(weight, include_hoffman=True, max_weight=DEFAULT_MAX_WEIGHT):
-    """The relation matrix at a weight, built at most once per process.
+def relation_table(weight, max_weight=DEFAULT_MAX_WEIGHT):
+    """The relation matrix at a weight, Hoffman rows included, built at
+    most once per process.
 
     The cap is checked on every call, cached weights included.  The matrix
     and its echelon form are shared by every caller and must not be
     mutated.
     """
     check_weight(weight, max_weight)
-    return _table(weight, include_hoffman)
+    return _table(weight)
 
 
 # Enough for every weight from 2 to the default cap with room to spare; the
 # bound matters because the weight-12 matrix alone holds 79k terms.
 @lru_cache(maxsize=16)
-def _table(weight, include_hoffman):
-    return build_relation_matrix(weight, include_hoffman, weight)
+def _table(weight):
+    return build_relation_matrix(weight, True, weight)
 
 
 def _hoffman_last_priority(basis):
@@ -267,14 +243,14 @@ def matrix_rank(matrix):
     return echelon_form(matrix).rank
 
 
-def dimension_upper_bound(weight, include_hoffman=True, max_weight=DEFAULT_MAX_WEIGHT):
+def dimension_upper_bound(weight, max_weight=DEFAULT_MAX_WEIGHT):
     """2^(weight-2) minus the exact rank of the relation rows.
 
     Every row is a true relation, so this is a rigorous upper bound for the
     dimension of the weight-graded span of zeta values; a value below the
     d_n of the dimension recurrence would mean a false relation and raises
     InvariantError."""
-    matrix = relation_table(weight, include_hoffman, max_weight)
+    matrix = relation_table(weight, max_weight)
     bound = 2 ** (weight - 2) - matrix_rank(matrix)
     check(bound >= dimension(weight), "bound %d fell below d_%d = %d: some relation is false"
           % (bound, weight, dimension(weight)))
@@ -295,7 +271,7 @@ def decompose_in_hoffman_basis(comp, max_weight=DEFAULT_MAX_WEIGHT):
     weight = comp.weight
     if weight < 2:
         return LinComb.term(comp)  # the empty word; weight-1 words all diverge
-    matrix = relation_table(weight, True, max_weight)
+    matrix = relation_table(weight, max_weight)
     rref = echelon_form(matrix)
     col = matrix.column_of(comp)
     if col in rref.pivot_rows:

@@ -193,3 +193,12 @@ def test_malformed_word_is_domain_error(capsys):
     code, _, err = run(capsys, "eval", "(1,2")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("samples", ["inf", "1e400", "nan"])
+def test_non_finite_sample_count_exits_one(capsys, samples):
+    # main returns instead of letting an OverflowError out as a traceback
+    code, out, err = run(capsys, "feynman", "period", "V=2; 1-2,1-2", "--samples", samples)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --samples must be a finite count")

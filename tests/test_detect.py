@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp, mpf
 
 from mzvtools import BigReal, Composition, detect, lll_reduce, mzv_eval
+from mzvtools.cli import main
 
 
 def norm2(v):
@@ -154,6 +155,19 @@ def test_height_bound_excludes_large_relations():
     xs = [mzv_eval(Composition(p), 60) for p in [(3, 9), (5, 7), (7, 5), (12,)]]
     result = detect(xs, 60, height_bound=10 ** 4)
     assert not result.found
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_height_bound_below_one_is_named(bound):
+    xs = [mzv_eval(Composition((1, 2)), 40), mzv_eval(Composition((3,)), 40)]
+    with pytest.raises(ValueError, match="height_bound must be >= 1"):
+        detect(xs, 40, height_bound=bound)
+
+
+def test_cli_height_bound_below_one_is_named(capsys):
+    code = main(["detect", "(1,2)", "(3)", "--digits", "40", "--height-bound", "-3"])
+    assert code == 1
+    assert "height_bound must be >= 1" in capsys.readouterr().err
 
 
 def test_result_json_obj():

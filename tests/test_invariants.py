@@ -1,6 +1,6 @@
 """Internal invariants raise InvariantError, a fault rather than a domain
 error, and none of them rests on an ``assert`` statement (which ``python -O``
-strips)."""
+strips).  Every module-level definition is either exported or used."""
 
 import ast
 from pathlib import Path
@@ -20,6 +20,39 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+# Module-level names kept although the package neither exports nor uses
+# them, each with the reason it stays (for example, kept as an oracle).
+KEPT_UNUSED = {}
+
+
+def unused_definitions(package_dir):
+    """Module-level functions and classes that ``__all__`` does not export
+    and that no code in the package names outside their own definition."""
+    exported, defined, named = set(), [], []
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((node.name, path.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.append((node.id, path.name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                named.append((node.attr, path.name, node.lineno))
+    return sorted(name for name, file, first, last in defined
+                  if name not in exported
+                  and not any(n == name and not (f == file and first <= line <= last)
+                              for n, f, line in named))
+
+
+def test_every_definition_is_exported_or_used():
+    assert all(reason.strip() for reason in KEPT_UNUSED.values())
+    assert unused_definitions(Path(mzvtools.__file__).parent) == sorted(KEPT_UNUSED)
 
 
 def test_bound_below_dimension_is_a_fault(monkeypatch):

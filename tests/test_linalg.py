@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvtools.linalg import DEFAULT_PRIME, SparseRREF, bareiss_det, modular_rank
+from mzvtools.linalg import SparseRREF, bareiss_det
 
 
 def gauss_rank(rows, n_cols):
@@ -45,8 +45,6 @@ def test_rank_engines_agree(seed):
     rref.insert_all(dict(r) for r in rows)
     assert rref.rank == expected
 
-    assert modular_rank(rows, n_cols) == expected
-
 
 def test_rank_of_dependent_rows():
     rows = [{0: Fraction(1), 1: Fraction(2)},
@@ -55,7 +53,6 @@ def test_rank_of_dependent_rows():
     rref = SparseRREF()
     rref.insert_all(dict(r) for r in rows)
     assert rref.rank == 1
-    assert modular_rank(rows, 2) == 1
 
 
 def test_insert_reports_new_pivot_or_none():
@@ -94,18 +91,10 @@ def test_priority_steers_pivot_choice():
     rref = SparseRREF(priority={0: 0, 1: 10}.get)
     rref.insert({0: Fraction(1), 1: Fraction(1)})
     assert list(rref.pivot_rows) == [0]
-    assert rref.free_columns(2) == [1]
+    assert rref.pivot_rows[0] == {0: 1, 1: 1}
     flipped = SparseRREF(priority={0: 10, 1: 0}.get)
     flipped.insert({0: Fraction(1), 1: Fraction(1)})
     assert list(flipped.pivot_rows) == [1]
-
-
-def test_free_columns_partition():
-    rng = random.Random(4)
-    rref = SparseRREF()
-    rref.insert_all(dict(r) for r in random_sparse_rows(rng, 5, 7))
-    free = rref.free_columns(7)
-    assert sorted(list(rref.pivot_columns()) + free) == list(range(7))
 
 
 def cofactor_det(m):
@@ -131,14 +120,3 @@ def test_bareiss_det_matches_cofactor_expansion(seed):
 def test_bareiss_det_singular():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert bareiss_det(m) == 0
-
-
-def test_modular_rank_prime_is_large():
-    # pairwise products must stay below 2^63 for the int64 elimination
-    assert DEFAULT_PRIME == 2 ** 31 - 1
-    assert (DEFAULT_PRIME - 1) ** 2 < 2 ** 63
-
-
-def test_modular_rank_handles_denominators():
-    rows = [{0: Fraction(1, 3), 1: Fraction(2, 3)}, {0: Fraction(1), 1: Fraction(2)}]
-    assert modular_rank(rows, 2) == 1

@@ -16,7 +16,7 @@ from mzvtools.algebra import shuffle, stuffle
 from mzvtools.cli import main
 from mzvtools.errors import InvariantError
 from mzvtools.linalg import SparseRREF
-from mzvtools.relations import double_shuffle_relation, hoffman_relation, is_hoffman
+from mzvtools.relations import is_hoffman, relation_table
 from mzvtools.words import enumerate_compositions, from_binary
 
 
@@ -24,8 +24,14 @@ def comp_combo(*pairs):
     return LinComb([(Composition(p), Fraction(c)) for p, c in pairs])
 
 
+def table_relation(weight, provenance):
+    """The row of the weight's relation table named by its product."""
+    matrix = relation_table(weight)
+    return matrix.relations[matrix.provenance.index(provenance)]
+
+
 def test_weight_three_hoffman_row():
-    rel = hoffman_relation(Composition((2,)))
+    rel = table_relation(3, "hoffman (2)")
     assert rel.combo == comp_combo(((1, 2), 1), ((3,), -1))
 
 
@@ -63,8 +69,9 @@ def test_weight_five_rank_and_free_columns():
 
 
 def test_double_shuffle_row_has_no_divergent_words():
-    for m, n in [((2,), (3,)), ((1, 2), (2,)), ((2, 2), (1, 3))]:
-        rel = double_shuffle_relation(Composition(m), Composition(n))
+    for weight, prov in [(5, "double-shuffle (2)|(3)"), (5, "double-shuffle (2)|(1,2)"),
+                         (8, "double-shuffle (1,3)|(2,2)")]:
+        rel = table_relation(weight, prov)
         assert all(w.is_convergent for w, _ in rel.combo.terms())
 
 
@@ -72,14 +79,9 @@ def test_double_shuffle_row_has_no_divergent_words():
 def test_hoffman_row_divergence_cancels(n):
     # the stuffle (1)*(n) and the shuffle x1 sh X_n both produce (n,1);
     # the difference must be supported on convergent words only
-    rel = hoffman_relation(Composition((n,)))
+    rel = table_relation(n + 1, "hoffman (%d)" % n)
     assert all(w.is_convergent for w, _ in rel.combo.terms())
     assert all(w.weight == n + 1 for w, _ in rel.combo.terms())
-
-
-def test_double_shuffle_rejects_divergent_input():
-    with pytest.raises(ValueError):
-        double_shuffle_relation(Composition((1,)), Composition((2,)))
 
 
 def _products(weight):
@@ -113,14 +115,12 @@ def test_rows_match_an_independent_pullback(weight):
 
 def test_uncancelled_divergent_term_is_an_invariant_error(monkeypatch):
     # drop the divergent term (n,1) from every stuffle: the shuffle's copy
-    # of it is left over in each Hoffman row
+    # of it is left over in each Hoffman row, first in hoffman (1,2)
     real = relations.stuffle
     monkeypatch.setattr(relations, "stuffle", lambda a, b: LinComb(
         [(w, c) for w, c in real(a, b).terms() if w.is_convergent]))
-    with pytest.raises(InvariantError, match=r"\(3,1\)"):
-        hoffman_relation(Composition((3,)))
-    with pytest.raises(InvariantError):
-        build_relation_matrix(5)
+    with pytest.raises(InvariantError, match=r"\(1,2,1\)"):
+        build_relation_matrix(4)
 
 
 def test_relation_rows_are_weight_homogeneous():
