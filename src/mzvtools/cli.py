@@ -159,6 +159,8 @@ def _dispatch(args):
 
     if cmd == "dims":
         if args.table is not None:
+            if args.table < 0:
+                raise ValueError("--table must be >= 0, got %d" % args.table)
             rows = []
             for n in range(args.table + 1):
                 rows.append({"weight": n, "d": dimension(n),
@@ -171,8 +173,10 @@ def _dispatch(args):
                              % (r["weight"], r["d"], r["words"], r["hoffman"],
                                 r["f_monomials"]))
             return {"table": rows}, lines, None, None
-        # fail on the cap before any table is built, not hours into the run
-        check_weight(max(args.max, 2), DEFAULT_MAX_WEIGHT)
+        # fail on a bad N before any table is built, not hours into the run
+        if args.max < 2:
+            raise ValueError("--max must be >= 2, got %d" % args.max)
+        check_weight(args.max, DEFAULT_MAX_WEIGHT)
         rows = []
         lines = ["weight  2^(n-2)  rank  bound  d_n"]
         for n in range(2, args.max + 1):
@@ -231,6 +235,8 @@ def _dispatch(args):
         samples = float(args.samples)
         if not math.isfinite(samples):
             raise ValueError("--samples must be a finite count, got %r" % (args.samples,))
+        if not samples.is_integer():
+            raise ValueError("--samples must be a whole count, got %r" % (args.samples,))
         est = period_monte_carlo(graph, int(samples), args.seed)
         obj = {"graph": str(graph), "estimate": est.value, "stderr": est.stderr,
                "samples": est.samples, "seed": est.seed}

@@ -227,10 +227,14 @@ def _hoffman_last_priority(basis):
 
 
 def echelon_form(matrix):
-    """Exact reduced row echelon form of a RelationMatrix (SparseRREF).
+    """Exact reduced row echelon form of a RelationMatrix (SparseRREF), with
+    the Hoffman-last pivot priority.
 
-    Computed on the first call and kept on the matrix; the result is shared,
-    so callers must not insert rows into it.
+    All rows go in through one ``SparseRREF.insert_all`` call: they are
+    eliminated modulo large primes, the entries are rebuilt as fractions,
+    and the result is kept only after every row reduces to zero against it
+    exactly.  Computed on the first call and kept on the matrix; the result
+    is shared, so callers must not insert rows into it.
     """
     if matrix._echelon is None:
         rref = SparseRREF(priority=_hoffman_last_priority(matrix.basis))

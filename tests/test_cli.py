@@ -202,3 +202,43 @@ def test_non_finite_sample_count_exits_one(capsys, samples):
     assert code == 1
     assert out == ""
     assert err.startswith("error: --samples must be a finite count")
+
+
+@pytest.mark.parametrize("samples", ["2.9", "0.5", "1e-3"])
+def test_fractional_sample_count_exits_one(capsys, samples):
+    # a fractional count is refused, not truncated to a smaller run
+    code, out, err = run(capsys, "feynman", "period", "V=2; 1-2,1-2", "--samples", samples)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --samples must be a whole count")
+
+
+def test_exponent_sample_count_still_runs(capsys):
+    code, out, _ = run(capsys, "feynman", "period", "V=2; 1-2,1-2",
+                       "--samples", "1e2", "--seed", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["samples"] == 100
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--table", "-1"), "--table must be >= 0"),
+    (("--max", "0"), "--max must be >= 2"),
+    (("--max", "1"), "--max must be >= 2"),
+    (("--max", "-4"), "--max must be >= 2"),
+])
+def test_dims_out_of_range_fails_before_building(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(relations, "_table", lru_cache(maxsize=16)(relations._table.__wrapped__))
+    code, out, err = run(capsys, "dims", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: " + message)
+    assert relations._table.cache_info().currsize == 0
+
+
+def test_dims_smallest_ranges_still_print(capsys):
+    code, out, _ = run(capsys, "dims", "--table", "0")
+    assert code == 0
+    assert out.split("\n")[1].split() == ["0", "1", "1", "1", "1"]
+    code, out, _ = run(capsys, "dims", "--max", "2")
+    assert code == 0
+    assert out.split("\n")[1].split() == ["2", "1", "0", "1", "1"]
