@@ -86,21 +86,21 @@ class SparseRREF:
 
         The input rows, with the rows already held, are scaled to integers
         and eliminated mod the primes of ``PRIMES`` in turn, each by the
-        steps of ``insert``, rows whose leading column comes last first.
-        Primes with the same pivot columns are
-        combined by CRT; where two disagree, the one with fewer pivots, or
-        as many pivots placed later in priority order, was unlucky and is
-        dropped.  Each entry is then rebuilt by rational reconstruction.
-        The rebuilt rows are kept only if every input row reduces to zero
-        against them: they then span the input's row space, and there are
-        rank_p <= rank_Q of them, so they are its reduced echelon form.  A
-        failed reconstruction or check adds the next prime; InvariantError
-        when none is left.
+        steps of ``insert``.  Primes with the same pivot columns are combined
+        by CRT; where two disagree, the one with fewer pivots, or as many
+        pivots placed later in priority order, was unlucky and is dropped.
+        Each entry is then rebuilt by rational reconstruction.  The rebuilt
+        rows are kept only if every input row reduces to zero against them:
+        they then span the input's row space, and there are rank_p <= rank_Q
+        of them, so they are its reduced echelon form.  A failed
+        reconstruction or check adds the next prime; InvariantError when
+        none is left.
         """
         rows = [r for r in map(_integer_row, chain(self.pivot_rows.values(), rows)) if r]
-        # a new pivot column is then rarely in the rows already eliminated, so
-        # back-substitution has little to do: mod 2^127 - 1 the weight-10
-        # relation rows take 0.05 s in this order and 0.66 s in table order
+        # Rows whose leading column comes last go first: a new pivot column is
+        # then rarely in the rows already eliminated, so back-substitution has
+        # little to do (mod 2^127 - 1 the weight-10 relation rows take 0.05 s
+        # in this order and 0.66 s in table order).
         rows.sort(key=lambda r: min(map(self.priority, r)), reverse=True)
         held = self.pivot_rows
         residues = None
