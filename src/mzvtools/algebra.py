@@ -40,8 +40,13 @@ from .errors import check
 from .lincomb import LinComb
 from .words import BinaryWord, Composition, GenericWord
 
+# At least four times the largest working set seen: 7,963 shuffle and 5,792
+# stuffle entries for the weight 2-12 relation tables, 8,190 and 4,095 for
+# regularizing every word up to weight 12.
+_CACHE_SIZE = 2 ** 15
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _shuffle_letters(u, v):
     """Shuffle two letter tuples; returns ((word, multiplicity), ...)."""
     if not u:
@@ -58,7 +63,7 @@ def _shuffle_letters(u, v):
     return tuple(sorted(out.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _stuffle_parts(a, b):
     """Stuffle two part tuples; returns ((parts, multiplicity), ...)."""
     if not a:
@@ -110,7 +115,7 @@ def stuffle_combo(x, y):
                     for w, c in stuffle(u, v).terms()])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _reg_shuffle(letters):
     """Shuffle regularization on a letter tuple; ((letters, Fraction), ...)."""
     if not letters:
@@ -148,7 +153,7 @@ def _reg_shuffle(letters):
     return tuple(sorted((w, -c / run) for w, c in acc.items() if c))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _reg_stuffle(parts):
     """Stuffle regularization on a part tuple; ((parts, Fraction), ...)."""
     if not parts or parts[-1] >= 2:

@@ -245,7 +245,7 @@ def _dispatch(args):
         if args.match_weight:
             matches = match_period(est.value, est.stderr, args.match_weight)
             obj["matches"] = [m.to_json_obj() for m in matches]
-            lines.extend("  candidate: %s" % m for m in matches)
+            lines.extend("  candidate: %s" % (m,) for m in matches)
         return obj, lines, None, args.seed
 
     raise AssertionError("unhandled command %r" % (cmd,))

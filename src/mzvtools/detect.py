@@ -49,8 +49,9 @@ def _gram_schmidt(basis):
     return gs, mu, norms
 
 
-def lll_reduce(basis, delta=_DELTA):
-    """LLL-reduce integer basis rows with exact rational arithmetic."""
+def lll_reduce(basis):
+    """LLL-reduce integer basis rows with exact rational arithmetic and
+    delta = 3/4, the value the height floor of ``detect`` rests on."""
     b = [list(map(int, row)) for row in basis]
     n = len(b)
     if n <= 1:
@@ -64,7 +65,7 @@ def lll_reduce(basis, delta=_DELTA):
                 r = int(q + Fraction(1, 2)) if q > 0 else -int(-q + Fraction(1, 2))
                 b[k] = [b[k][i] - r * b[j][i] for i in range(len(b[k]))]
                 gs, mu, norms = _gram_schmidt(b)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]

@@ -19,19 +19,15 @@ The growth rate d_{n+1}/d_n tends to the real root of X^3 - X - 1
 
 from __future__ import annotations
 
-from functools import lru_cache
 
-
-@lru_cache(maxsize=None)
 def dimension(n):
     """d_n from the recurrence d_n = d_{n-2} + d_{n-3}."""
     if n < 0:
         raise ValueError("weight must be >= 0")
-    if n == 0:
-        return 1
-    if n in (1, 2):
-        return n - 1
-    return dimension(n - 2) + dimension(n - 3)
+    d = [1, 0, 1]
+    while len(d) <= n:
+        d.append(d[-2] + d[-3])
+    return d[n]
 
 
 def count_hoffman_words(n):

@@ -8,11 +8,15 @@ one squarefree monomial per tree, homogeneous of degree equal to the loop
 number h = edges - vertices + 1.  It is computed by recursive
 deletion-contraction (trees avoiding a non-bridge edge vs trees through
 it), never by iterating over all edge subsets, and the monomial count is
-cross-checked against the matrix-tree determinant.
+cross-checked against the matrix-tree determinant, which is taken first
+so that graphs with more than MAX_TREES trees are refused at once.
 
 A graph is primitive log-divergent when edges = 2h and every proper
 connected subgraph with a cycle has strictly more than twice as many edges
-as independent cycles.  For such graphs the projective period
+as independent cycles.  For a connected graph on V vertices that is the
+same as V >= 2, edges = 2V - 2, and every vertex set U with 2 <= |U| < V
+spanning at most 2|U| - 3 edges, so the test counts the edges inside each
+vertex set in 2^V * edges steps.  For such graphs the projective period
 
     integral over x_i >= 0 (chart x_N = 1) of dx_1 ... dx_{N-1} / Psi_G^2
 
@@ -27,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +40,12 @@ from .linalg import bareiss_det
 from .relations import DEFAULT_MAX_WEIGHT
 from .numerics import (DEFAULT_SEED, GUARD, monte_carlo, mzv_eval,
                        zeta_euler_maclaurin)
+
+MAX_TREES = 300_000
+MAX_DENOMINATOR = 12
+MAX_NUMERATOR = 1000
+ACCEPT_SIGMA = 3.0
+CANDIDATE_DIGITS = 30
 
 
 class Graph:
@@ -92,9 +102,6 @@ class Graph:
                 u, _, v = tok.strip().partition("-")
                 edges.append((int(u), int(v)))
         return cls(n, edges)
-
-    def to_json_obj(self):
-        return {"vertices": self.n_vertices, "edges": [list(e) for e in self.edges]}
 
     def __str__(self):
         return "V=%d; %s" % (self.n_vertices,
@@ -177,14 +184,6 @@ class GraphPolynomial:
     def __len__(self):
         return len(self.monomials)
 
-    def __eq__(self, other):
-        return (isinstance(other, GraphPolynomial)
-                and self.n_variables == other.n_variables
-                and self.monomials == other.monomials)
-
-    def __hash__(self):
-        return hash((self.n_variables, self.monomials))
-
     def sorted_monomials(self):
         return sorted(tuple(sorted(m)) for m in self.monomials)
 
@@ -210,34 +209,39 @@ class GraphPolynomial:
 
 
 def kirchhoff_polynomial(graph):
-    """Psi_G: one monomial per spanning tree, on the complementary edges."""
+    """Psi_G: one monomial per spanning tree, on the complementary edges.
+    A graph with more than MAX_TREES spanning trees raises ValueError."""
+    count = spanning_tree_count(graph)
+    if count > MAX_TREES:
+        raise ValueError("%s has %d spanning trees, more than the %d this "
+                         "enumeration allows" % (graph, count, MAX_TREES))
     all_ids = frozenset(range(graph.n_edges))
     trees = _spanning_trees(frozenset(range(1, graph.n_vertices + 1)),
                             [(u, v, i) for i, (u, v) in enumerate(graph.edges)])
-    check(len(trees) == spanning_tree_count(graph),
+    check(len(trees) == count,
           "deletion-contraction disagrees with the matrix-tree count")
     return GraphPolynomial(graph.n_edges, [all_ids - t for t in trees])
 
 
 def is_primitive_log_divergent(graph):
     """edges = 2 * loops, and every proper connected subgraph with a cycle
-    has edges > 2 * loops.  Checked by exhaustive subgraph enumeration."""
-    n_edges = graph.n_edges
-    if n_edges != 2 * graph.loop_number:
+    has edges > 2 * loops.
+
+    Tested on vertex sets in 2^V * edges steps: V >= 2, edges = 2V - 2, and
+    every U with 2 <= |U| < V spans at most 2|U| - 3 edges.  A violating
+    edge set S (loops >= 1, |S| <= 2 * loops) has a connected violating
+    component; adding the other edges among its vertices U keeps it
+    violating, so U spans at least 2|U| - 2 edges, and U = V would make it
+    every edge.  Conversely a component of an over-full U is over-full
+    itself, and its inside edges form a proper violating subgraph.
+    """
+    n = graph.n_vertices
+    if n < 2 or graph.n_edges != 2 * n - 2:
         return False
-    if graph.loop_number < 1:
-        return False
-    edges = graph.edges
-    for mask in range(1, (1 << n_edges) - 1):
-        subset = [i for i in range(n_edges) if mask >> i & 1]
-        verts = set()
-        for i in subset:
-            verts.update(edges[i])
-        triples = [(edges[i][0], edges[i][1], i) for i in subset]
-        if not _connected(frozenset(verts), triples):
-            continue
-        loops = len(subset) - len(verts) + 1
-        if loops >= 1 and len(subset) <= 2 * loops:
+    ends = [1 << (u - 1) | 1 << (v - 1) for u, v in graph.edges]
+    for mask in range(1, (1 << n) - 1):
+        size = mask.bit_count()
+        if size >= 2 and sum(e & mask == e for e in ends) > 2 * size - 3:
             return False
     return True
 
@@ -279,24 +283,22 @@ def _partitions(total, largest):
             yield (p,) + rest
 
 
-@lru_cache(maxsize=None)
-def _zeta_value(s, digits):
-    return zeta_euler_maclaurin(s, digits).value
-
-
-@lru_cache(maxsize=None)
-def period_candidates(weight, digits=30):
+def period_candidates(weight):
     """Known constants of a weight: products of simple zetas over the
     partitions into parts >= 2, the depth-2 zeta values, and for weight 8
     the wheel-type combination."""
     from mpmath import mp
+    digits = CANDIDATE_DIGITS
+    partitions = list(_partitions(weight, weight))
     out = []
     with mp.workdps(digits + GUARD):
-        for parts in _partitions(weight, weight):
+        zeta = {s: zeta_euler_maclaurin(s, digits).value
+                for s in sorted({p for parts in partitions for p in parts})}
+        for parts in partitions:
             label = "*".join("zeta(%d)" % p for p in parts)
             value = 1
             for p in parts:
-                value = value * _zeta_value(p, digits)
+                value = value * zeta[p]
             out.append((label, value))
         for a in range(1, weight - 1):
             b = weight - a
@@ -305,8 +307,7 @@ def period_candidates(weight, digits=30):
             # The wheel-type combination, in both index orders: sources that
             # sum over decreasing indices write the depth-2 factor with its
             # parts swapped, so both readings count as known constants.
-            tail = (Fraction(45, 4) * _zeta_value(5, digits) * _zeta_value(3, digits)
-                    - Fraction(261, 20) * _zeta_value(8, digits))
+            tail = Fraction(45, 4) * zeta[5] * zeta[3] - Fraction(261, 20) * zeta[8]
             for parts in ((5, 3), (3, 5)):
                 value = Fraction(27, 5) * mzv_eval(parts, digits).value + tail
                 out.append(("27/5*zeta(%d,%d)+45/4*zeta(5)*zeta(3)-261/20*zeta(8)"
@@ -314,17 +315,11 @@ def period_candidates(weight, digits=30):
     return tuple(out)
 
 
-class PeriodMatch:
-    __slots__ = ("coefficient", "label", "value", "score")
-
-    def __init__(self, coefficient, label, value, score):
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "score", score)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PeriodMatch is immutable")
+class PeriodMatch(NamedTuple):
+    coefficient: Fraction
+    label: str
+    value: float
+    score: float
 
     def __str__(self):
         c = self.coefficient
@@ -338,16 +333,15 @@ class PeriodMatch:
                 "value": self.value, "score": self.score}
 
 
-def match_period(estimate, error, weight, max_denominator=12, max_numerator=1000,
-                 accept_sigma=3.0):
-    """All candidates q * constant within accept_sigma standard errors of the
+def match_period(estimate, error, weight):
+    """All candidates q * constant within ACCEPT_SIGMA standard errors of the
     estimate, q a small rational, ranked by residual / error.
 
-    Every reduced fraction whose denominator and numerator fit the bounds is
-    considered, not just the closest one: at Monte-Carlo precision many
-    rationals fit the window, and the caller wants the simple ones listed
-    alongside the best-scoring ones.  Ties in score break toward smaller
-    denominators.
+    Every reduced fraction a/b with b <= MAX_DENOMINATOR and
+    |a| <= MAX_NUMERATOR is considered, not just the closest one: at
+    Monte-Carlo precision many rationals fit the window, and the caller
+    wants the simple ones listed alongside the best-scoring ones.  Ties in
+    score break toward smaller denominators.
     """
     if error <= 0:
         raise ValueError("error must be positive")
@@ -356,11 +350,11 @@ def match_period(estimate, error, weight, max_denominator=12, max_numerator=1000
     matches = []
     for label, value in period_candidates(weight):
         v = float(value)
-        lo = (estimate - accept_sigma * error) / v
-        hi = (estimate + accept_sigma * error) / v
-        for b in range(1, max_denominator + 1):
+        lo = (estimate - ACCEPT_SIGMA * error) / v
+        hi = (estimate + ACCEPT_SIGMA * error) / v
+        for b in range(1, MAX_DENOMINATOR + 1):
             for a in range(math.ceil(lo * b), math.floor(hi * b) + 1):
-                if a == 0 or abs(a) > max_numerator or math.gcd(a, b) != 1:
+                if a == 0 or abs(a) > MAX_NUMERATOR or math.gcd(a, b) != 1:
                     continue
                 q = Fraction(a, b)
                 score = abs(estimate - float(q) * v) / error

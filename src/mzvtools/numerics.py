@@ -225,7 +225,9 @@ def _polylog_raw(parts, z, dps):
         return total
 
 
-@lru_cache(maxsize=None)
+# At least four times the 986 half-path values of the numeric-w10 benchmark
+# session; a sweep over every convergent weight-12 word needs 3,072.
+@lru_cache(maxsize=2 ** 12)
 def _polylog_half(parts, dps):
     return _polylog_raw(parts, Fraction(1, 2), dps)
 

@@ -1,11 +1,12 @@
 """CLI behavior: output shapes, the JSON manifest, determinism, exit codes."""
 
+import itertools
 import json
 from functools import lru_cache
 
 import pytest
 
-from mzvtools import relations
+from mzvtools import feynman, relations
 from mzvtools.cli import main
 
 
@@ -114,6 +115,27 @@ def test_feynman_period(capsys):
                        "--samples", "100", "--seed", "0")
     assert code == 0
     assert "1.00000000 +- 0.00000000" in out
+
+
+def test_feynman_period_lists_candidates(capsys):
+    code, out, _ = run(capsys, "feynman", "period", "V=4; 1-2,1-3,1-4,2-3,2-4,3-4",
+                       "--samples", "1e4", "--match-weight", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) > 1
+    assert all(line.startswith("  candidate: ") and "sigma)" in line for line in lines[1:])
+
+
+def test_feynman_psi_refuses_too_many_trees_before_enumerating(monkeypatch, capsys):
+    def enumerate_trees(vertices, edges):
+        raise AssertionError("spanning trees enumerated")
+
+    monkeypatch.setattr(feynman, "_spanning_trees", enumerate_trees)
+    k9 = "V=9; " + ",".join("%d-%d" % e for e in itertools.combinations(range(1, 10), 2))
+    code, out, err = run(capsys, "feynman", "psi", k9)
+    assert code == 1
+    assert out == ""
+    assert "4782969 spanning trees" in err
 
 
 # ----------------------------------------------------------------- JSON

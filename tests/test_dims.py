@@ -15,6 +15,12 @@ def test_dimension_recurrence():
         assert dimension(n) == dimension(n - 2) + dimension(n - 3)
 
 
+def test_dimension_first_twenty_and_far_out():
+    assert [dimension(n) for n in range(20)] == KNOWN_D + [21, 28, 37, 49, 65, 86]
+    # far beyond any recursion limit; the Hoffman count obeys the same recurrence
+    assert dimension(2500) == count_hoffman_words(2500)
+
+
 def test_dimension_rejects_negative():
     with pytest.raises(ValueError):
         dimension(-1)

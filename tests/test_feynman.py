@@ -7,7 +7,9 @@ wheel periods.  The estimator is unbiased but heavy-tailed, so frozen
 seeds guard the pipeline while the loose gates reflect honest accuracy.
 """
 
+import itertools
 import random
+import time
 
 import pytest
 from mpmath import mp, mpf
@@ -202,6 +204,98 @@ def test_banana_is_primitive_log_divergent():
 
 def test_w4_is_primitive_log_divergent():
     assert is_primitive_log_divergent(W4)
+
+
+def _connected_edges(vertices, edges):
+    parent = {v: v for v in vertices}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[root(u)] = root(v)
+    return len({root(v) for v in vertices}) <= 1
+
+
+def primitive_by_edge_subsets(graph):
+    """The definition itself, as the oracle: edges = 2 * loops >= 2, and no
+    proper connected edge subset S with a cycle has |S| <= 2 * loops(S).
+    Scans all 2^edges subsets."""
+    edges = graph.edges
+    n_edges = len(edges)
+    loops = n_edges - graph.n_vertices + 1
+    if loops < 1 or n_edges != 2 * loops:
+        return False
+    for mask in range(1, (1 << n_edges) - 1):
+        subset = [edges[i] for i in range(n_edges) if mask >> i & 1]
+        verts = {v for e in subset for v in e}
+        if not _connected_edges(verts, subset):
+            continue
+        h = len(subset) - len(verts) + 1
+        if h >= 1 and len(subset) <= 2 * h:
+            return False
+    return True
+
+
+def random_multigraph(rng):
+    """A connected multigraph on 2..6 vertices, weighted toward 5 and 6;
+    most have 2V - 2 edges, and more than half have no multi-edge."""
+    while True:
+        n = rng.choice((2, 3, 4, 5, 5, 6, 6, 6))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        n_edges = 2 * n - 2 if rng.random() < 0.7 else rng.randint(n - 1, 2 * n + 1)
+        if rng.random() < 0.6 and n_edges <= len(pairs):
+            edges = rng.sample(pairs, n_edges)
+        else:
+            edges = [rng.choice(pairs) for _ in range(n_edges)]
+        try:
+            return Graph(n, edges)
+        except ValueError:  # disconnected: draw again
+            continue
+
+
+def test_primitivity_matches_edge_subset_oracle():
+    rng = random.Random(2021)
+    graphs = [random_multigraph(rng) for _ in range(2500)]
+    verdicts = [primitive_by_edge_subsets(g) for g in graphs]
+    for g, want in zip(graphs, verdicts):
+        assert is_primitive_log_divergent(g) == want, g
+    # the sample reaches what the vertex-set form must get right
+    assert sum(verdicts) >= 500
+    assert sum(v for g, v in zip(graphs, verdicts) if g.n_vertices >= 5) >= 150
+    assert any(g.n_edges != 2 * g.n_vertices - 2 for g in graphs)
+    assert sum(len(set(g.edges)) < g.n_edges for g in graphs) >= 500
+
+
+def wheel(spokes):
+    n = spokes + 1
+    rim = [(i, i + 1) for i in range(2, n)] + [(2, n)]
+    return Graph(n, [(1, i) for i in range(2, n + 1)] + rim)
+
+
+@pytest.mark.parametrize("spokes", range(3, 8))
+def test_wheels_are_primitive(spokes):
+    g = wheel(spokes)
+    assert primitive_by_edge_subsets(g)
+    assert is_primitive_log_divergent(g)
+
+
+def test_double_edge_subdivergence_is_not_primitive():
+    # 2V - 2 edges, but the doubled edge 1-2 is a one-loop subgraph with
+    # two edges
+    g = Graph(4, [(1, 2), (1, 2), (1, 3), (2, 3), (3, 4), (1, 4)])
+    assert g.n_edges == 2 * g.n_vertices - 2
+    assert not primitive_by_edge_subsets(g)
+    assert not is_primitive_log_divergent(g)
+
+
+def test_primitivity_scans_vertex_sets_not_edge_subsets():
+    # W9 has 18 edges: 2^18 edge subsets, but only 2^10 vertex sets
+    start = time.perf_counter()
+    assert is_primitive_log_divergent(wheel(9))
+    assert time.perf_counter() - start < 0.5
 
 
 # ------------------------------------------------------------ Monte Carlo
