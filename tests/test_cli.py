@@ -184,6 +184,41 @@ def test_json_relations_round_trip(capsys):
     assert len(obj["result"]["relations"]) >= 3
 
 
+RELATIONS_W5 = """\
+6*(1,1,3) + (1,2,2) - (1,4) - (3,2) = 0   [double-shuffle (2)|(1,2)]
+6*(1,4) + 2*(2,3) - (5) = 0   [double-shuffle (2)|(3)]
+(1,1,1,2) - (1,1,3) - (1,2,2) - (2,1,2) = 0   [hoffman (1,1,2)]
+(1,1,3) + (1,2,2) - (1,4) - (2,3) = 0   [hoffman (1,3)]
+(1,2,2) + (2,1,2) - (2,3) - (3,2) = 0   [hoffman (2,2)]
+(1,4) + (2,3) + (3,2) - (5) = 0   [hoffman (4)]
+6 relations over 8 convergent words
+"""
+
+
+def _combo(*terms):
+    return {"kind": "composition",
+            "terms": [{"denominator": 1, "numerator": c, "word": w} for w, c in terms]}
+
+
+def test_relations_output_is_frozen(capsys):
+    # the verbatim listing, text and JSON, with and without the Hoffman rows
+    assert run(capsys, "relations", "--weight", "5") == (0, RELATIONS_W5, "")
+    no_hoffman = RELATIONS_W5.splitlines()[:2] + ["2 relations over 8 convergent words"]
+    assert run(capsys, "relations", "--weight", "5", "--no-hoffman") == (
+        0, "\n".join(no_hoffman) + "\n", "")
+    _, out, _ = run(capsys, "relations", "--weight", "4", "--json")
+    assert manifest_of(out)["result"] == {
+        "basis": ["(1,1,2)", "(1,3)", "(2,2)", "(4)"],
+        "relations": [
+            {"combo": _combo(("(1,3)", 4), ("(4)", -1)),
+             "provenance": "double-shuffle (2)|(2)", "weight": 4},
+            {"combo": _combo(("(1,1,2)", 1), ("(1,3)", -1), ("(2,2)", -1)),
+             "provenance": "hoffman (1,2)", "weight": 4},
+            {"combo": _combo(("(1,3)", 1), ("(2,2)", 1), ("(4)", -1)),
+             "provenance": "hoffman (3)", "weight": 4}],
+        "weight": 4}
+
+
 # ------------------------------------------------------------ exit codes
 
 def test_domain_error_exits_one(capsys):
