@@ -20,7 +20,7 @@ from .lincomb import LinComb
 from .numerics import (BigReal, MonteCarloEstimate, bernoulli, hypercube_zeta2,
                        multiple_polylog, mzv_eval, zeta_euler_maclaurin,
                        zeta_even_closed_form)
-from .relations import (InsufficientRelationsError, Relation, RelationMatrix,
+from .relations import (InsufficientRelationsError, RelationMatrix,
                         build_relation_matrix, decompose_in_hoffman_basis,
                         dimension_upper_bound, hoffman_words, matrix_rank)
 from .words import (BinaryWord, Composition, GenericWord, enumerate_compositions,
@@ -37,7 +37,7 @@ __all__ = [
     "dimension", "count_hoffman_words", "count_f_monomials", "growth_root",
     "BigReal", "MonteCarloEstimate", "bernoulli", "hypercube_zeta2",
     "multiple_polylog", "mzv_eval", "zeta_euler_maclaurin", "zeta_even_closed_form",
-    "InsufficientRelationsError", "Relation", "RelationMatrix",
+    "InsufficientRelationsError", "RelationMatrix",
     "build_relation_matrix", "decompose_in_hoffman_basis",
     "dimension_upper_bound", "hoffman_words", "matrix_rank",
     "DetectionResult", "detect", "lll_reduce",

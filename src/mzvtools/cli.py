@@ -29,6 +29,7 @@ from .detect import detect
 from .dims import count_f_monomials, count_hoffman_words, dimension
 from .feynman import (Graph, is_primitive_log_divergent, kirchhoff_polynomial,
                       match_period, period_monte_carlo)
+from .lincomb import LinComb
 from .numerics import DEFAULT_SEED, GUARD, BigReal, mzv_eval, zeta_euler_maclaurin
 from .relations import (DEFAULT_MAX_WEIGHT, build_relation_matrix, check_weight,
                         decompose_in_hoffman_basis, dimension_upper_bound,
@@ -148,11 +149,15 @@ def _dispatch(args):
     if cmd == "relations":
         matrix = build_relation_matrix(args.weight, not args.no_hoffman,
                                        args.max_weight)
-        rels = matrix.relations
+        combos = [LinComb({matrix.basis[c]: v for c, v in row.items()})
+                  for row in matrix.rows()]
         obj = {"weight": matrix.weight,
                "basis": [str(w) for w in matrix.basis],
-               "relations": [r.to_json_obj() for r in rels]}
-        lines = [str(r) for r in rels]
+               "relations": [{"weight": matrix.weight, "provenance": prov,
+                              "combo": combo.to_json_obj()}
+                             for combo, prov in zip(combos, matrix.provenance)]}
+        lines = ["%s = 0   [%s]" % (combo, prov)
+                 for combo, prov in zip(combos, matrix.provenance)]
         lines.append("%d relations over %d convergent words"
                      % (matrix.n_rows, matrix.n_columns))
         return obj, lines, None, None
@@ -223,7 +228,7 @@ def _dispatch(args):
         graph = _load_graph(args.graph)
         if args.action == "psi":
             psi = kirchhoff_polynomial(graph)
-            obj = {"graph": str(graph), "monomials": psi.sorted_monomials(),
+            obj = {"graph": str(graph), "monomials": list(psi.monomials),
                    "count": len(psi), "degree": psi.degree}
             return obj, ["psi = %s" % psi,
                          "%d monomials of degree %d" % (len(psi), psi.degree)], None, None

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
 
@@ -73,24 +74,16 @@ def lll_reduce(basis):
     return b
 
 
-class DetectionResult:
+class DetectionResult(NamedTuple):
     """Outcome of a relation search: either coefficients, or a certified
     lower bound on the height of any relation that might exist."""
 
-    __slots__ = ("coefficients", "residual", "threshold", "height_bound",
-                 "height_floor", "digits")
-
-    def __init__(self, coefficients, residual, threshold, height_bound,
-                 height_floor, digits):
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "height_bound", height_bound)
-        object.__setattr__(self, "height_floor", height_floor)
-        object.__setattr__(self, "digits", digits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DetectionResult is immutable")
+    coefficients: Optional[tuple]
+    residual: mpf
+    threshold: mpf
+    height_bound: int
+    height_floor: float
+    digits: int
 
     @property
     def found(self):

@@ -131,20 +131,21 @@ def _connected(vertices, edges):
 
 
 def _spanning_trees(vertices, edges):
-    """All spanning trees as frozensets of edge ids.
+    """All spanning trees as bitmasks of edge ids (bit i for edge id i).
 
     ``edges`` holds (u, v, id) triples; loops are dropped, a disconnected
     graph yields nothing, and bridges skip the deletion branch.
     """
     if len(vertices) == 1:
-        return [frozenset()]
+        return [0]
     live = [(u, v, i) for u, v, i in edges if u != v]
     if not live:
         return []
     u0, v0, id0 = live[0]
     contracted = [(u0 if u == v0 else u, u0 if v == v0 else v, i)
                   for u, v, i in live[1:]]
-    out = [t | {id0} for t in _spanning_trees(vertices - {v0}, contracted)]
+    bit = 1 << id0
+    out = [t | bit for t in _spanning_trees(vertices - {v0}, contracted)]
     rest = live[1:]
     if _connected(vertices, rest):  # not a bridge: trees can avoid it
         out.extend(_spanning_trees(vertices, rest))
@@ -165,16 +166,20 @@ def spanning_tree_count(graph):
 
 
 class GraphPolynomial:
-    """A set of squarefree monomials in the edge variables, all of one degree."""
+    """A set of squarefree monomials in the edge variables, all of one degree.
 
-    __slots__ = ("n_variables", "degree", "monomials")
+    ``monomials`` holds each distinct monomial once, as the sorted tuple of
+    its edge ids, and the monomials in sorted order: the order in which
+    they print and in which the period integrand sums them.
+    """
 
-    def __init__(self, n_variables, monomials):
-        monomials = frozenset(frozenset(m) for m in monomials)
+    __slots__ = ("degree", "monomials")
+
+    def __init__(self, monomials):
+        monomials = tuple(sorted({tuple(sorted(set(m))) for m in monomials}))
         degrees = {len(m) for m in monomials}
         if len(degrees) > 1:
             raise ValueError("monomials of mixed degree: %s" % sorted(degrees))
-        object.__setattr__(self, "n_variables", n_variables)
         object.__setattr__(self, "degree", degrees.pop() if degrees else 0)
         object.__setattr__(self, "monomials", monomials)
 
@@ -183,9 +188,6 @@ class GraphPolynomial:
 
     def __len__(self):
         return len(self.monomials)
-
-    def sorted_monomials(self):
-        return sorted(tuple(sorted(m)) for m in self.monomials)
 
     def evaluate(self, values):
         total = 0
@@ -200,7 +202,7 @@ class GraphPolynomial:
         if not self.monomials:
             return "0"
         bits = []
-        for m in self.sorted_monomials():
+        for m in self.monomials:
             bits.append("*".join("x%d" % (e + 1) for e in m) if m else "1")
         return " + ".join(bits)
 
@@ -215,12 +217,12 @@ def kirchhoff_polynomial(graph):
     if count > MAX_TREES:
         raise ValueError("%s has %d spanning trees, more than the %d this "
                          "enumeration allows" % (graph, count, MAX_TREES))
-    all_ids = frozenset(range(graph.n_edges))
     trees = _spanning_trees(frozenset(range(1, graph.n_vertices + 1)),
                             [(u, v, i) for i, (u, v) in enumerate(graph.edges)])
     check(len(trees) == count,
           "deletion-contraction disagrees with the matrix-tree count")
-    return GraphPolynomial(graph.n_edges, [all_ids - t for t in trees])
+    ids = range(graph.n_edges)
+    return GraphPolynomial([i for i in ids if not t >> i & 1] for t in trees)
 
 
 def is_primitive_log_divergent(graph):
@@ -259,7 +261,7 @@ def period_monte_carlo(graph, samples, seed=DEFAULT_SEED):
     psi = kirchhoff_polynomial(graph)
     n_free = graph.n_edges - 1
     masks = np.zeros((len(psi), n_free), dtype=bool)
-    for row, m in enumerate(psi.sorted_monomials()):
+    for row, m in enumerate(psi.monomials):
         for e in m:
             if e < n_free:
                 masks[row, e] = True
@@ -341,10 +343,13 @@ def match_period(estimate, error, weight):
     |a| <= MAX_NUMERATOR is considered, not just the closest one: at
     Monte-Carlo precision many rationals fit the window, and the caller
     wants the simple ones listed alongside the best-scoring ones.  Ties in
-    score break toward smaller denominators.
+    score break toward smaller denominators.  A float estimate is never
+    known better than its ulp, so a smaller error (an exact integrand has
+    stderr 0) is raised to that.
     """
-    if error <= 0:
-        raise ValueError("error must be positive")
+    if not (math.isfinite(error) and error >= 0):
+        raise ValueError("error must be finite and >= 0, got %r" % (error,))
+    error = max(error, math.ulp(estimate))
     if not 2 <= weight <= DEFAULT_MAX_WEIGHT:
         raise ValueError("weight must be between 2 and %d" % DEFAULT_MAX_WEIGHT)
     matches = []

@@ -57,9 +57,6 @@ class LinComb:
         """(word, coefficient) pairs in canonical order."""
         return sorted(self._coeffs.items(), key=lambda t: t[0].sort_key())
 
-    def words(self):
-        return sorted(self._coeffs, key=lambda w: w.sort_key())
-
     def __add__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented

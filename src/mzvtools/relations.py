@@ -58,37 +58,6 @@ class InsufficientRelationsError(ValueError):
                                  ", ".join(str(w) for w in self.free_words)))
 
 
-class Relation:
-    """A rational combination of convergent compositions summing to zero."""
-
-    __slots__ = ("combo", "weight", "provenance")
-
-    def __init__(self, combo, provenance):
-        words = combo.words()
-        for w in words:
-            if not w.is_convergent:
-                raise ValueError("relation touches divergent word %s" % (w,))
-        weights = {w.weight for w in words}
-        if len(weights) > 1:
-            raise ValueError("relation mixes weights %s" % (sorted(weights),))
-        object.__setattr__(self, "combo", combo)
-        object.__setattr__(self, "weight", weights.pop() if weights else 0)
-        object.__setattr__(self, "provenance", provenance)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Relation is immutable")
-
-    def __str__(self):
-        return "%s = 0   [%s]" % (self.combo, self.provenance)
-
-    def __repr__(self):
-        return "Relation(%s)" % (self,)
-
-    def to_json_obj(self):
-        return {"weight": self.weight, "provenance": self.provenance,
-                "combo": self.combo.to_json_obj()}
-
-
 def _relation_row(m, n, columns):
     """Shuffle minus stuffle of two compositions as an integer row.
 
@@ -140,12 +109,6 @@ class RelationMatrix:
     def rows(self):
         """Sparse {column index: int} rows in generation order (shared: do not mutate)."""
         return self._sparse_rows
-
-    @property
-    def relations(self):
-        """The rows as Relation objects, built on each access."""
-        return [Relation(LinComb({self.basis[c]: v for c, v in row.items()}), prov)
-                for row, prov in zip(self._sparse_rows, self.provenance)]
 
     def column_of(self, comp):
         return self.basis.index(comp)

@@ -202,9 +202,10 @@ def test_criterion_11_property_suites():
     n_relations = 0
     with mp.workdps(50):
         for weight in range(4, 8):
-            for rel in build_relation_matrix(weight).relations:
-                assert abs(_combo_value(rel.combo, 40)) < mp.mpf(10) ** -30, \
-                    rel.provenance
+            matrix = build_relation_matrix(weight)
+            for row, provenance in zip(matrix.rows(), matrix.provenance):
+                combo = LinComb({matrix.basis[c]: v for c, v in row.items()})
+                assert abs(_combo_value(combo, 40)) < mp.mpf(10) ** -30, provenance
                 n_relations += 1
 
     # (c) from_binary(to_binary(c)) = c for every composition of weight <= 8.

@@ -117,6 +117,15 @@ def test_feynman_period(capsys):
     assert "1.00000000 +- 0.00000000" in out
 
 
+def test_feynman_period_matches_with_zero_stderr(capsys):
+    # the banana's integrand is the constant 1, so its stderr is exactly 0
+    code, out, err = run(capsys, "feynman", "period", "V=2; 1-2,1-2",
+                         "--samples", "100", "--match-weight", "2", "--json")
+    assert (code, err) == (0, "")
+    result = manifest_of(out)["result"]
+    assert (result["estimate"], result["stderr"], result["matches"]) == (1.0, 0.0, [])
+
+
 def test_feynman_period_lists_candidates(capsys):
     code, out, _ = run(capsys, "feynman", "period", "V=4; 1-2,1-3,1-4,2-3,2-4,3-4",
                        "--samples", "1e4", "--match-weight", "3")

@@ -8,8 +8,10 @@ seeds guard the pipeline while the loose gates reflect honest accuracy.
 """
 
 import itertools
+import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from mpmath import mp, mpf
@@ -131,7 +133,7 @@ def test_polynomial_is_homogeneous():
 
 def test_mixed_degree_monomials_rejected():
     with pytest.raises(ValueError):
-        GraphPolynomial(3, [frozenset([0]), frozenset([0, 1])])
+        GraphPolynomial([frozenset([0]), frozenset([0, 1])])
 
 
 def delete_edge(g, k):
@@ -275,6 +277,40 @@ def wheel(spokes):
     return Graph(n, [(1, i) for i in range(2, n + 1)] + rim)
 
 
+def complete_graph(n):
+    return Graph(n, itertools.combinations(range(1, n + 1), 2))
+
+
+def monomials_by_edge_subsets(graph):
+    """The definition of Psi, as the oracle: the complement of every
+    (V - 1)-edge subset that connects all vertices, sorted."""
+    n_edges, vertices = graph.n_edges, range(1, graph.n_vertices + 1)
+    return sorted(
+        tuple(i for i in range(n_edges) if i not in tree)
+        for tree in itertools.combinations(range(n_edges), graph.n_vertices - 1)
+        if _connected_edges(vertices, [graph.edges[i] for i in tree]))
+
+
+@pytest.mark.parametrize("graph", [
+    K4, W4, wheel(5), complete_graph(5),
+    Graph(4, [(1, 2), (1, 2), (1, 3), (2, 3), (3, 4), (1, 4), (3, 4)]),
+], ids=["K4", "W4", "W5", "K5", "multigraph"])
+def test_kirchhoff_monomials_match_edge_subset_oracle(graph):
+    assert list(kirchhoff_polynomial(graph).monomials) == monomials_by_edge_subsets(graph)
+
+
+def test_kirchhoff_polynomial_memory_is_bounded():
+    # 16807 monomials of 15 edges each: stored once, as small tuples
+    tracemalloc.start()
+    try:
+        psi = kirchhoff_polynomial(complete_graph(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(psi) == 16807
+    assert peak < 8 * 10 ** 6
+
+
 @pytest.mark.parametrize("spokes", range(3, 8))
 def test_wheels_are_primitive(spokes):
     g = wheel(spokes)
@@ -385,6 +421,16 @@ def test_match_rejects_out_of_range_weight():
         match_period(1.0, 0.1, 13)
 
 
-def test_match_requires_positive_error():
-    with pytest.raises(ValueError):
-        match_period(1.0, 0.0, 3)
+def test_match_rejects_negative_or_non_finite_error():
+    for error in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            match_period(1.0, error, 3)
+
+
+def test_zero_error_is_raised_to_the_ulp():
+    # an exact estimate of 6 zeta(3) = 6 zeta(1,2) matches both with score
+    # 0, and nothing else lies within three ulps
+    value = float(mzv_eval(Composition((3,)), 20).value)
+    matches = match_period(6 * value, 0.0, 3)
+    assert {(m.label, m.coefficient, m.score) for m in matches} == {
+        ("zeta(3)", 6, 0.0), ("zeta(1,2)", 6, 0.0)}

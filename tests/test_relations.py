@@ -1,8 +1,12 @@
 """Double-shuffle relation tables: frozen small-weight structure, exact
 ranks, and numeric validation of generated relations at 40 digits."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -24,15 +28,21 @@ def comp_combo(*pairs):
     return LinComb([(Composition(p), Fraction(c)) for p, c in pairs])
 
 
+def row_combo(matrix, row):
+    """A {column: int} row of the matrix as a combination of its words."""
+    return LinComb({matrix.basis[c]: v for c, v in row.items()})
+
+
 def table_relation(weight, provenance):
-    """The row of the weight's relation table named by its product."""
+    """The row of the weight's relation table named by its product, as a
+    combination."""
     matrix = relation_table(weight)
-    return matrix.relations[matrix.provenance.index(provenance)]
+    return row_combo(matrix, matrix.rows()[matrix.provenance.index(provenance)])
 
 
 def test_weight_three_hoffman_row():
-    rel = table_relation(3, "hoffman (2)")
-    assert rel.combo == comp_combo(((1, 2), 1), ((3,), -1))
+    combo = table_relation(3, "hoffman (2)")
+    assert combo == comp_combo(((1, 2), 1), ((3,), -1))
 
 
 def test_weight_three_structure():
@@ -45,7 +55,7 @@ def test_weight_three_structure():
 def test_weight_four_rows():
     # the three double-shuffle rows at weight 4, from the products 2x2 and 1*3
     matrix = build_relation_matrix(4)
-    rows = {str(r.combo) for r in matrix.relations}
+    rows = {str(row_combo(matrix, row)) for row in matrix.rows()}
     assert "4*(1,3) - (4)" in rows
     assert "(1,3) + (2,2) - (4)" in rows
     assert matrix_rank(matrix) == 3
@@ -71,17 +81,17 @@ def test_weight_five_rank_and_free_columns():
 def test_double_shuffle_row_has_no_divergent_words():
     for weight, prov in [(5, "double-shuffle (2)|(3)"), (5, "double-shuffle (2)|(1,2)"),
                          (8, "double-shuffle (1,3)|(2,2)")]:
-        rel = table_relation(weight, prov)
-        assert all(w.is_convergent for w, _ in rel.combo.terms())
+        combo = table_relation(weight, prov)
+        assert all(w.is_convergent for w, _ in combo.terms())
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_hoffman_row_divergence_cancels(n):
     # the stuffle (1)*(n) and the shuffle x1 sh X_n both produce (n,1);
     # the difference must be supported on convergent words only
-    rel = table_relation(n + 1, "hoffman (%d)" % n)
-    assert all(w.is_convergent for w, _ in rel.combo.terms())
-    assert all(w.weight == n + 1 for w, _ in rel.combo.terms())
+    combo = table_relation(n + 1, "hoffman (%d)" % n)
+    assert all(w.is_convergent for w, _ in combo.terms())
+    assert all(w.weight == n + 1 for w, _ in combo.terms())
 
 
 def _products(weight):
@@ -125,8 +135,8 @@ def test_uncancelled_divergent_term_is_an_invariant_error(monkeypatch):
 
 def test_relation_rows_are_weight_homogeneous():
     matrix = build_relation_matrix(6)
-    for rel in matrix.relations:
-        assert {w.weight for w, _ in rel.combo.terms()} == {6}
+    for row in matrix.rows():
+        assert {w.weight for w, _ in row_combo(matrix, row).terms()} == {6}
 
 
 def test_rank_is_invariant_under_row_order():
@@ -153,6 +163,30 @@ def test_bound_never_below_dimension():
     # the code asserts this internally; exercise it across a range
     for n in range(2, 9):
         assert dimension_upper_bound(n) >= dimension(n)
+
+
+OPTIMIZED_FALSE_RELATION = """
+from mzvtools import relations
+from mzvtools.errors import InvariantError
+if __debug__:
+    raise SystemExit("not running under python -O")
+relations.dimension = lambda n: 2 ** n
+try:
+    relations.dimension_upper_bound(4)
+except InvariantError as exc:
+    print(exc)
+else:
+    raise SystemExit("no InvariantError")
+"""
+
+
+def test_false_relation_is_a_fault_under_python_O():
+    # python -O strips assert statements; the invariant must not rest on one
+    env = dict(os.environ, PYTHONPATH=str(Path(relations.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_FALSE_RELATION],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "some relation is false" in proc.stdout
 
 
 def test_weight_cap_enforced():
@@ -231,8 +265,9 @@ def test_relations_cancel_numerically(weight):
     """Every generated relation row sums to zero at 40 digits."""
     matrix = build_relation_matrix(weight)
     with mp.workdps(50):
-        for rel in matrix.relations:
-            assert abs(_combo_value(rel.combo, 40)) < mp.mpf(10) ** -30, rel.provenance
+        for row, provenance in zip(matrix.rows(), matrix.provenance):
+            combo = row_combo(matrix, row)
+            assert abs(_combo_value(combo, 40)) < mp.mpf(10) ** -30, provenance
 
 
 @pytest.mark.parametrize("parts", [(1, 3), (1, 1, 2), (2, 3), (1, 4), (3, 3), (1, 2, 3)])
@@ -247,6 +282,6 @@ def test_decompositions_hold_numerically(parts):
 
 def test_provenance_strings_name_the_products():
     matrix = build_relation_matrix(4)
-    provs = {r.provenance for r in matrix.relations}
+    provs = set(matrix.provenance)
     assert any(p.startswith("double-shuffle") for p in provs)
     assert any(p.startswith("hoffman") for p in provs)
