@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -78,7 +78,7 @@ class DetectionResult(NamedTuple):
     """Outcome of a relation search: either coefficients, or a certified
     lower bound on the height of any relation that might exist."""
 
-    coefficients: Optional[tuple]
+    coefficients: tuple | None
     residual: mpf
     threshold: mpf
     height_bound: int
