@@ -7,6 +7,7 @@ pinned, products with a divergent generator killed) from scratch.  All
 three are deliberately different algorithms from the implementation.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -212,6 +213,21 @@ def test_regularized_output_is_convergent():
         for c in enumerate_compositions(weight):
             for w, _ in stuffle_regularize(c).terms():
                 assert w.is_convergent
+
+
+def test_regularize_digest_through_weight_eight():
+    """Every binary word and every composition of weight <= 8, regularized,
+    printed and hashed: the frozen value pins all 767 results at once."""
+    lines = []
+    for weight in range(9):
+        for letters in product((0, 1), repeat=weight):
+            w = BinaryWord(letters)
+            lines.append("%s: %s" % (w, shuffle_regularize(w)))
+        for c in enumerate_compositions(weight):
+            lines.append("%s: %s" % (c, stuffle_regularize(c)))
+    assert len(lines) == 767
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "d6b90c4e68a4ee00aa496b8fd78c6ba14a940a8a2a9b0fd01e2d85e85591db51")
 
 
 def _regularize_combo(combo, regularize):

@@ -2,6 +2,7 @@
 recovered with exact coefficient vectors, soundness re-checks at doubled
 precision, and no-relation behavior on random inputs."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -49,6 +50,51 @@ def test_lll_first_vector_is_short():
     det2 = gram_det(basis)
     n = 3
     assert Fraction(norm2(reduced[0])) ** n <= Fraction(2) ** (n * (n - 1) // 2) * det2
+
+
+def relation_lattice(scaled):
+    """The rows (e_i | scaled_i) that ``detect`` reduces."""
+    m = len(scaled)
+    return [[int(i == j) for j in range(m)] + [x] for i, x in enumerate(scaled)]
+
+
+# round(10^(digits - 10) * value) for zeta(3,9), zeta(5,7), zeta(7,5) and
+# zeta(12) at 60 digits, the inputs ``detect`` builds the GKZ lattice from
+GKZ_SCALED = [
+    201547801088202946783053145858135503874776651437,
+    836639918876867807817029942591870889256229149327,
+    3697286685399974965596861878658428809159869333539,
+    100024608655330804829863799804773967096041608845800,
+]
+# the same at 90 digits for zeta(2,7) and the weight-9 Hoffman words
+# (2,2,2,3), (2,2,3,2), (2,3,2,2), (3,2,2,2), (3,3,3)
+W9_SCALED = [
+    849378161496168123420016096753237677882922633847018127034813207049815160238308,
+    252145209634629115340692364956593145934110762644221950459410290596688140280904,
+    574119464149792340134031694820620623744160046255310643714008431159025384256561,
+    1102451038854630138266348207974846549247058696483706587273553489970212261472734,
+    2494882386737749496986825531238003616348207206427193893161440658368631885478754,
+    1203418257441200386159968442169374050578495449927966027410860750504336897522973,
+]
+
+
+def test_lll_reduced_bases_are_frozen():
+    """Exact LLL is deterministic: these reduced bases, the dependent one
+    included, stay bit-identical under any rewrite of the reduction."""
+    assert lll_reduce(relation_lattice(GKZ_SCALED)) == [
+        [19348, 103650, 116088, -5197, -542],
+        [-345413807817948, 25960702334679, 31541920219484, -687049807516,
+         -603377369539167],
+        [-418057048545127, -493172822654193, 510689916148286, -13909581820369,
+         279203373488344],
+        [-730609652280642, 419040715789873, -249112444270747, 7175301272602,
+         630035353870884],
+    ]
+    reduced = lll_reduce(relation_lattice(W9_SCALED))
+    assert hashlib.sha256(repr(reduced).encode()).hexdigest() == (
+        "58afaf4f231895d26c22e05878d1e034e7904dcf38c49ac41de986dd3e9aba68")
+    assert lll_reduce([[12, 1, 0], [13, 0, 1], [25, 1, 1]]) == [
+        [0, 0, 0], [1, -1, 1], [8, 5, -4]]
 
 
 def test_euler_relation_detected():

@@ -143,3 +143,25 @@ def test_compositions_hash_and_eq():
     assert Composition((1, 2)) != Composition((2, 1))
     d = {Composition((2,)): "a", BinaryWord("10"): "b"}
     assert len(d) == 2
+
+
+def test_word_types_with_the_same_tuple_are_unequal():
+    assert BinaryWord("10") != GenericWord((1, 0))
+    assert GenericWord((1, 0)) != BinaryWord("10")
+    assert Composition((1, 2)) != GenericWord((1, 2))
+    assert GenericWord((1, 2)) != Composition((1, 2))
+    same = {Composition((1, 1)), BinaryWord((1, 1)), GenericWord((1, 1))}
+    assert len(same) == 3
+    # each type hashes to (its name, its tuple), so set and dict orders of
+    # words stay what they were
+    for w in same:
+        tup = w.parts if isinstance(w, Composition) else w.letters
+        assert hash(w) == hash((type(w).__name__, tup))
+
+
+@pytest.mark.parametrize("word", [Composition((1, 2)), BinaryWord("10"),
+                                  GenericWord(("f3", "f5"))])
+@pytest.mark.parametrize("name", ["letters", "parts", "weight", "other"])
+def test_setting_an_attribute_names_the_class(word, name):
+    with pytest.raises(AttributeError, match="^%s is immutable$" % type(word).__name__):
+        setattr(word, name, ())
