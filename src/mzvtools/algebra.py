@@ -85,34 +85,48 @@ def _stuffle_parts(a, b):
 
 def shuffle(u, v):
     """Shuffle product of two words of the same kind (binary or generic)."""
-    if isinstance(u, BinaryWord) and isinstance(v, BinaryWord):
-        make = BinaryWord
-    elif isinstance(u, GenericWord) and isinstance(v, GenericWord):
-        make = GenericWord
-    else:
+    if type(u) is not type(v) or not isinstance(u, (BinaryWord, GenericWord)):
         raise TypeError("shuffle needs two BinaryWord or two GenericWord arguments")
-    return LinComb([(make(w), Fraction(c))
-                    for w, c in _shuffle_letters(u.letters, v.letters)])
+    return LinComb([(type(u)(w), c) for w, c in _shuffle_letters(u.letters, v.letters)])
 
 
 def stuffle(a, b):
     """Stuffle product of two compositions."""
     if not (isinstance(a, Composition) and isinstance(b, Composition)):
         raise TypeError("stuffle needs two Composition arguments")
-    return LinComb([(Composition(w), Fraction(c))
-                    for w, c in _stuffle_parts(a.parts, b.parts)])
+    return LinComb([(Composition(w), c) for w, c in _stuffle_parts(a.parts, b.parts)])
+
+
+def _bilinear(product, x, y):
+    return LinComb([(w, cu * cv * c) for u, cu in x.terms() for v, cv in y.terms()
+                    for w, c in product(u, v).terms()])
 
 
 def shuffle_combo(x, y):
     """Bilinear extension of the shuffle product to linear combinations."""
-    return LinComb([(w, cu * cv * c) for u, cu in x.terms() for v, cv in y.terms()
-                    for w, c in shuffle(u, v).terms()])
+    return _bilinear(shuffle, x, y)
 
 
 def stuffle_combo(x, y):
     """Bilinear extension of the stuffle product to linear combinations."""
-    return LinComb([(w, cu * cv * c) for u, cu in x.terms() for v, cv in y.terms()
-                    for w, c in stuffle(u, v).terms()])
+    return _bilinear(stuffle, x, y)
+
+
+def _peel(letters, run, terms, regularize):
+    """One run-peeling step: ``terms`` is the product of the killed generator
+    with ``letters`` minus one letter of its divergent run, which holds
+    ``letters`` exactly ``run`` times, so reg(letters) is -1/run times the
+    regularized remaining terms."""
+    acc = {}
+    seen_self = 0
+    for w, c in terms:
+        if w == letters:
+            seen_self = c
+            continue
+        for rw, rc in regularize(w):
+            acc[rw] = acc.get(rw, Fraction(0)) + c * rc
+    check(seen_self == run, "run-peeling multiplicity mismatch")
+    return tuple(sorted((w, -c / run) for w, c in acc.items() if c))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -129,28 +143,14 @@ def _reg_shuffle(letters):
             k += 1
         if k == len(letters):
             return ()  # a pure power of the killed letter
-        generator = (0,)
-        run = k
-    else:
-        # starts with 1, ends with 1: peel the trailing 1-run
-        m = 1
-        while m < len(letters) and letters[-1 - m] == 1:
-            m += 1
-        if m == len(letters):
-            return ()
-        generator = (1,)
-        run = m
-    body = letters[1:] if generator == (0,) else letters[:-1]
-    acc = {}
-    seen_self = 0
-    for w, c in _shuffle_letters(generator, body):
-        if w == letters:
-            seen_self = c
-            continue
-        for rw, rc in _reg_shuffle(w):
-            acc[rw] = acc.get(rw, Fraction(0)) + c * rc
-    check(seen_self == run, "run-peeling multiplicity mismatch")
-    return tuple(sorted((w, -c / run) for w, c in acc.items() if c))
+        return _peel(letters, k, _shuffle_letters((0,), letters[1:]), _reg_shuffle)
+    # starts with 1, ends with 1: peel the trailing 1-run
+    m = 1
+    while m < len(letters) and letters[-1 - m] == 1:
+        m += 1
+    if m == len(letters):
+        return ()
+    return _peel(letters, m, _shuffle_letters((1,), letters[:-1]), _reg_shuffle)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -161,17 +161,7 @@ def _reg_stuffle(parts):
     m = 1
     while m < len(parts) and parts[-1 - m] == 1:
         m += 1
-    body = parts[:-1]
-    acc = {}
-    seen_self = 0
-    for w, c in _stuffle_parts((1,), body):
-        if w == parts:
-            seen_self = c
-            continue
-        for rw, rc in _reg_stuffle(w):
-            acc[rw] = acc.get(rw, Fraction(0)) + c * rc
-    check(seen_self == m, "run-peeling multiplicity mismatch")
-    return tuple(sorted((w, -c / m) for w, c in acc.items() if c))
+    return _peel(parts, m, _stuffle_parts((1,), parts[:-1]), _reg_stuffle)
 
 
 def shuffle_regularize(word):

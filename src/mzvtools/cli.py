@@ -8,8 +8,9 @@ version and wall time; identical invocations give byte-identical output up
 to the wall-time field.
 
 Exit codes: 0 on success, 1 on domain errors (divergent word where a
-convergent one is required, precision too low, insufficient relations),
-2 on usage errors (unknown flags, malformed literals).
+convergent one is required, precision too low, insufficient relations,
+malformed word or graph literals), 2 on usage errors (unknown flags,
+missing arguments).
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def _dispatch(args):
                "samples": est.samples, "seed": est.seed}
         lines = ["period estimate %.8f +- %.8f  (%d samples, seed %d)"
                  % (est.value, est.stderr, est.samples, est.seed)]
-        if args.match_weight:
+        if args.match_weight is not None:
             matches = match_period(est.value, est.stderr, args.match_weight)
             obj["matches"] = [m.to_json_obj() for m in matches]
             lines.extend("  candidate: %s" % (m,) for m in matches)

@@ -32,7 +32,7 @@ _DELTA = Fraction(3, 4)
 
 
 def _gram_schmidt(basis):
-    """Orthogonalize over Fraction; returns (gs vectors, mu matrix, norms^2)."""
+    """Orthogonalize over Fraction; returns (mu matrix, norms^2)."""
     n = len(basis)
     gs = []
     mu = [[Fraction(0)] * n for _ in range(n)]
@@ -47,29 +47,38 @@ def _gram_schmidt(basis):
             v = [v[k] - mu[i][j] * gs[j][k] for k in range(len(v))]
         gs.append(v)
         norms.append(sum(x * x for x in v))
-    return gs, mu, norms
+    return mu, norms
 
 
 def lll_reduce(basis):
     """LLL-reduce integer basis rows with exact rational arithmetic and
-    delta = 3/4, the value the height floor of ``detect`` rests on."""
+    delta = 3/4, the value the height floor of ``detect`` rests on.
+
+    Gram-Schmidt is computed at the start and after each swap only.  Size
+    reduction b_k -= r b_j (j < k) leaves every Gram-Schmidt vector and
+    norm unchanged and changes only row k of mu, by mu_k -= r mu_j with
+    mu_jj = 1, which is the update applied in place.
+    """
     b = [list(map(int, row)) for row in basis]
     n = len(b)
     if n <= 1:
         return b
+    mu, norms = _gram_schmidt(b)
     k = 1
     while k < n:
-        gs, mu, norms = _gram_schmidt(b)
         for j in range(k - 1, -1, -1):
             q = mu[k][j]
             if abs(q) > Fraction(1, 2):
                 r = int(q + Fraction(1, 2)) if q > 0 else -int(-q + Fraction(1, 2))
                 b[k] = [b[k][i] - r * b[j][i] for i in range(len(b[k]))]
-                gs, mu, norms = _gram_schmidt(b)
+                for i in range(j):
+                    mu[k][i] -= r * mu[j][i]
+                mu[k][j] -= r
         if norms[k] >= (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = _gram_schmidt(b)
             k = max(k - 1, 1)
     return b
 

@@ -37,11 +37,14 @@ import numpy as np
 
 from .errors import check
 from .linalg import bareiss_det
-from .relations import DEFAULT_MAX_WEIGHT
 from .numerics import (DEFAULT_SEED, GUARD, monte_carlo, mzv_eval,
                        zeta_euler_maclaurin)
 
 MAX_TREES = 300_000
+# The largest weight whose constants are matched: the candidate list holds a
+# product of simple zetas for every partition of the weight into parts >= 2,
+# so it grows with the partitions of the weight.
+MAX_MATCH_WEIGHT = 12
 MAX_DENOMINATOR = 12
 MAX_NUMERATOR = 1000
 ACCEPT_SIGMA = 3.0
@@ -350,8 +353,8 @@ def match_period(estimate, error, weight):
     if not (math.isfinite(error) and error >= 0):
         raise ValueError("error must be finite and >= 0, got %r" % (error,))
     error = max(error, math.ulp(estimate))
-    if not 2 <= weight <= DEFAULT_MAX_WEIGHT:
-        raise ValueError("weight must be between 2 and %d" % DEFAULT_MAX_WEIGHT)
+    if not 2 <= weight <= MAX_MATCH_WEIGHT:
+        raise ValueError("weight must be between 2 and %d" % MAX_MATCH_WEIGHT)
     matches = []
     for label, value in period_candidates(weight):
         v = float(value)

@@ -14,6 +14,7 @@ order and denominators > 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .words import WORD_KINDS, word_kind
 
@@ -60,14 +61,7 @@ class LinComb:
     def __add__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        d = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            s = d.get(w, Fraction(0)) + c
-            if s:
-                d[w] = s
-            elif w in d:
-                del d[w]
-        return LinComb(d)
+        return LinComb(chain(self._coeffs.items(), other._coeffs.items()))
 
     def __sub__(self, other):
         return self + (-other)

@@ -21,27 +21,74 @@ correspond exactly to convergent binary words.
 orderable letters; it carries the shuffle product for alphabets such as
 f3, f5, f7, ... where no integral encoding is involved.
 
-Canonical order everywhere is graded lexicographic: first by weight (word
-length for letter words), then lexicographically.
+All three are immutable tuples of letters on one private base: a
+composition is the word y_n1...y_nr in the letters y_n (Hoffman,
+"Quasi-shuffle products", 2000), so its letters are its parts.  Canonical
+order everywhere is graded lexicographic: first by weight (word length for
+letter words, the sum of the parts for compositions), then
+lexicographically.
 """
 
 from __future__ import annotations
 
 
-class Composition:
-    """An index word (n1,...,nr) with integer parts >= 1."""
+class _Word:
+    """A word as an immutable tuple ``letters``.
 
-    __slots__ = ("parts",)
+    Equality needs the same type and the same tuple, so words of different
+    kinds never compare equal; ordering is by ``sort_key``.
+    """
+
+    __slots__ = ("letters",)
+
+    def __init__(self, letters):
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    @property
+    def weight(self):
+        return len(self.letters)
+
+    def sort_key(self):
+        return (self.weight, self.letters)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.letters == other.letters
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.letters))
+
+    def __lt__(self, other):
+        return self.sort_key() < other.sort_key()
+
+    def __len__(self):
+        return len(self.letters)
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, self.letters)
+
+
+class Composition(_Word):
+    """An index word (n1,...,nr) with integer parts >= 1.
+
+    It is the word y_n1...y_nr, so its letters are its parts; the weight is
+    their sum.
+    """
+
+    __slots__ = ()
+    parts = _Word.letters  # the same slot, read-only under its own name
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
         for p in parts:
             if p < 1:
                 raise ValueError("composition parts must be integers >= 1, got %r" % (p,))
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Composition is immutable")
+        super().__init__(parts)
 
     @property
     def weight(self):
@@ -64,32 +111,14 @@ class Composition:
             letters.extend([0] * (p - 1))
         return BinaryWord(letters)
 
-    def sort_key(self):
-        return (self.weight, self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Composition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(("Composition", self.parts))
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __len__(self):
-        return len(self.parts)
-
     def __str__(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
-    def __repr__(self):
-        return "Composition(%r)" % (self.parts,)
 
-
-class BinaryWord:
+class BinaryWord(_Word):
     """A word in the letters 0 and 1, indexing an iterated integral."""
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
     def __init__(self, letters=()):
         if isinstance(letters, str):
@@ -99,14 +128,7 @@ class BinaryWord:
         for a in letters:
             if a not in (0, 1):
                 raise ValueError("binary word letters must be 0 or 1, got %r" % (a,))
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryWord is immutable")
-
-    @property
-    def weight(self):
-        return len(self.letters)
+        super().__init__(letters)
 
     @property
     def is_convergent(self):
@@ -118,21 +140,6 @@ class BinaryWord:
         """Reverse the word and exchange the letters (the t -> 1-t symmetry)."""
         return BinaryWord(tuple(1 - a for a in reversed(self.letters)))
 
-    def sort_key(self):
-        return (len(self.letters), self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, BinaryWord) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(("BinaryWord", self.letters))
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __len__(self):
-        return len(self.letters)
-
     def __str__(self):
         return "".join(str(a) for a in self.letters)
 
@@ -140,41 +147,16 @@ class BinaryWord:
         return "BinaryWord(%r)" % (str(self),)
 
 
-class GenericWord:
+class GenericWord(_Word):
     """A word over an arbitrary alphabet of hashable, orderable letters."""
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
     def __init__(self, letters=()):
-        object.__setattr__(self, "letters", tuple(letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GenericWord is immutable")
-
-    @property
-    def weight(self):
-        return len(self.letters)
-
-    def sort_key(self):
-        return (len(self.letters), self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, GenericWord) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(("GenericWord", self.letters))
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __len__(self):
-        return len(self.letters)
+        super().__init__(tuple(letters))
 
     def __str__(self):
         return ".".join(str(a) for a in self.letters)
-
-    def __repr__(self):
-        return "GenericWord(%r)" % (self.letters,)
 
 
 def from_binary(word):
@@ -206,25 +188,22 @@ def enumerate_compositions(weight, convergent_only=False):
     """All compositions of the given weight, in graded-lexicographic order.
 
     There are 2^(weight-1) in total and 2^(weight-2) convergent ones for
-    weight >= 2.  The order is deterministic: lexicographic on the part
-    tuples (the weight is fixed).
+    weight >= 2.  The weight is fixed, so the order is lexicographic on the
+    part tuples, which the depth-first recursion, smaller parts first,
+    yields as it goes.
     """
     if weight < 0:
         raise ValueError("weight must be >= 0")
-    if weight == 0:
-        out = [Composition()]
-    else:
-        out = []
+    out = []
 
-        def rec(prefix, remaining):
-            if remaining == 0:
-                out.append(Composition(prefix))
-                return
-            for p in range(1, remaining + 1):
-                rec(prefix + [p], remaining - p)
+    def rec(prefix, remaining):
+        if remaining == 0:
+            out.append(Composition(prefix))
+            return
+        for p in range(1, remaining + 1):
+            rec(prefix + [p], remaining - p)
 
-        rec([], weight)
-        out.sort()
+    rec([], weight)
     if convergent_only:
         out = [c for c in out if c.is_convergent]
     return out

@@ -21,6 +21,7 @@ def test_tracer_installs_runs_and_uninstalls(monkeypatch):
     tracer.install()
     try:
         assert cli.main(["dims", "--max", "4"]) == 0
+        assert cli.main(["detect", "(1,2)", "(3)", "--digits", "40"]) == 0
     finally:
         tracer.uninstall()
     assert (cli.build_relation_matrix, relations.build_relation_matrix,
@@ -28,5 +29,8 @@ def test_tracer_installs_runs_and_uninstalls(monkeypatch):
     names = {s[0] for s in tracer.spans}
     assert {"relations.matrix_rank", "relations.build_relation_matrix",
             "relations.RelationMatrix.rows", "linalg.SparseRREF.insert_all",
-            "algebra.shuffle", "algebra.stuffle"} <= names
+            "algebra.shuffle", "algebra.stuffle",
+            # detect.lll_s stays 0 if detect stops calling lll_reduce
+            # through its module global
+            "detect.detect", "detect.lll_reduce"} <= names
     assert set(spans.cache_counts()) == {"shuffle", "stuffle", "polylog_half"}

@@ -126,6 +126,15 @@ def test_feynman_period_matches_with_zero_stderr(capsys):
     assert (result["estimate"], result["stderr"], result["matches"]) == (1.0, 0.0, [])
 
 
+@pytest.mark.parametrize("weight", ["0", "1", "13"])
+def test_feynman_period_match_weight_out_of_range_exits_one(capsys, weight):
+    # 0 is a weight like any other, not "no matching"
+    code, out, err = run(capsys, "feynman", "period", "V=2; 1-2,1-2",
+                         "--samples", "100", "--match-weight", weight)
+    assert (code, out) == (1, "")
+    assert "weight must be between 2 and 12" in err
+
+
 def test_feynman_period_lists_candidates(capsys):
     code, out, _ = run(capsys, "feynman", "period", "V=4; 1-2,1-3,1-4,2-3,2-4,3-4",
                        "--samples", "1e4", "--match-weight", "3")

@@ -165,3 +165,13 @@ def test_word_types_with_the_same_tuple_are_unequal():
 def test_setting_an_attribute_names_the_class(word, name):
     with pytest.raises(AttributeError, match="^%s is immutable$" % type(word).__name__):
         setattr(word, name, ())
+
+
+@pytest.mark.parametrize("word", [Composition((1, 2)), BinaryWord("10"),
+                                  GenericWord(("f3", "f5"))])
+def test_deleting_the_letters_is_refused(word):
+    # a word without its tuple could not even be hashed
+    for name in ("letters", "parts"):
+        with pytest.raises(AttributeError, match="^%s is immutable$" % type(word).__name__):
+            delattr(word, name)
+    assert word == type(word)(word.letters) and hash(word)
