@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from mzvtools import linalg
 from mzvtools.errors import InvariantError
 from mzvtools.linalg import SparseRREF, bareiss_det
-from mzvtools.relations import _hoffman_last_priority, relation_table
+from mzvtools.relations import _hoffman_last_priority, echelon_form, relation_table
 
 
 def gauss_rank(rows, n_cols):
@@ -170,6 +171,20 @@ def test_insert_all_matches_one_by_one_on_relation_tables(weight):
     batch = SparseRREF(priority)
     batch.insert_all(matrix.rows())
     assert batch.pivot_rows == inserted_one_by_one(matrix.rows(), priority).pivot_rows
+
+
+# One-by-one insert is too slow past weight 9, so the echelons of weights 10
+# and 11 (entries of 37 and 47 bits) are pinned by a digest of their text.
+@pytest.mark.parametrize("weight, digest", [
+    (10, "bd494fd3a656ed82cd7a50fd94208fbe183cf1351ab3d18a44d2550e69b74523"),
+    (11, "21e62ba1ce631bf740f29c641fd84418eac8ad6c8d0b1597b02c9fdea6ee27db"),
+])
+def test_relation_echelons_are_frozen(weight, digest):
+    rows = echelon_form(relation_table(weight)).pivot_rows
+    text = "\n".join("%d: %s" % (piv, " ".join("%d:%d/%d" % (c, v.numerator, v.denominator)
+                                              for c, v in sorted(row.items())))
+                     for piv, row in sorted(rows.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def count_primes_used(monkeypatch):
