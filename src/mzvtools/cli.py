@@ -59,7 +59,10 @@ def _mzv_expression(text, digits):
             if tok.startswith("("):
                 total = total * mzv_eval(parse_composition(tok), digits).value
             else:
-                q = Fraction(tok)
+                try:
+                    q = Fraction(tok)
+                except ZeroDivisionError:
+                    raise ValueError("zero denominator in %r" % (tok,)) from None
                 total = total * mpf(q.numerator) / q.denominator
     return BigReal(total, digits)
 

@@ -1,4 +1,5 @@
-"""The fault raised when one of the toolkit's own invariants fails."""
+"""The fault raised when one of the toolkit's own invariants fails, and the
+base that keeps the value types immutable."""
 
 
 class InvariantError(RuntimeError):
@@ -14,3 +15,16 @@ def check(condition, message):
     """Raise InvariantError(message) unless ``condition`` holds."""
     if not condition:
         raise InvariantError(message)
+
+
+class _Immutable:
+    """Base of the value types: ``__init__`` sets the attributes through
+    ``object.__setattr__``, and after that none can be set or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)

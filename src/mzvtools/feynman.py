@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check
+from .errors import _Immutable, check
 from .linalg import bareiss_det
 from .numerics import (DEFAULT_SEED, GUARD, monte_carlo, mzv_eval,
                        zeta_euler_maclaurin)
@@ -51,7 +51,7 @@ ACCEPT_SIGMA = 3.0
 CANDIDATE_DIGITS = 30
 
 
-class Graph:
+class Graph(_Immutable):
     """A connected multigraph on vertices 1..n without self-loops."""
 
     __slots__ = ("n_vertices", "edges")
@@ -68,14 +68,10 @@ class Graph:
             if u == v:
                 raise ValueError("self-loop at vertex %d is not allowed" % u)
             es.append((min(u, v), max(u, v)))
-        if not _connected(frozenset(range(1, n + 1)),
-                          [(u, v, i) for i, (u, v) in enumerate(es)]):
+        if not _connected((1 << n) - 1, _ends(es)):
             raise ValueError("graph must be connected")
         object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "edges", tuple(es))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
 
     @property
     def n_edges(self):
@@ -92,6 +88,9 @@ class Graph:
         s = text.strip()
         if s.startswith("{"):
             obj = json.loads(s)
+            missing = sorted({"vertices", "edges"} - obj.keys())
+            if missing:
+                raise ValueError("a JSON graph needs the keys %s" % ", ".join(missing))
             return cls(obj["vertices"], obj["edges"])
         head, _, tail = s.partition(";")
         head = head.replace(" ", "")
@@ -114,45 +113,49 @@ class Graph:
         return "Graph(%r)" % (str(self),)
 
 
-def _connected(vertices, edges):
-    if len(vertices) <= 1:
-        return True
-    adj = {v: [] for v in vertices}
-    for u, v, _ in edges:
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
+def _ends(edges):
+    """Each edge (u, v) as the bitmask of its end vertices (bit u - 1)."""
+    return [1 << (u - 1) | 1 << (v - 1) for u, v in edges]
 
 
-def _spanning_trees(vertices, edges):
-    """All spanning trees as bitmasks of edge ids (bit i for edge id i).
+def _connected(vertices, ends):
+    """True when the edges, as end-vertex bitmasks, connect every vertex of
+    the bitmask ``vertices``: the reach of its lowest vertex grows to a
+    fixed point."""
+    reach, last = vertices & -vertices, 0
+    while reach != last:
+        last = reach
+        for e in ends:
+            if e & reach:
+                reach |= e
+    return reach == vertices
 
-    ``edges`` holds (u, v, id) triples; loops are dropped, a disconnected
-    graph yields nothing, and bridges skip the deletion branch.
+
+def _spanning_trees(vertices, edges, chosen, out):
+    """Append to ``out`` every spanning tree, as ``chosen`` plus a bitmask of
+    edge ids (bit i for edge id i), of the graph on the vertex bitmask
+    ``vertices`` whose loop-free ``edges`` are (end-vertex bitmask, id) pairs.
+
+    The first edge is contracted (its higher vertex merged into the lower,
+    loops dropped) and then, unless it is a bridge, deleted.
     """
-    if len(vertices) == 1:
-        return [0]
-    live = [(u, v, i) for u, v, i in edges if u != v]
-    if not live:
-        return []
-    u0, v0, id0 = live[0]
-    contracted = [(u0 if u == v0 else u, u0 if v == v0 else v, i)
-                  for u, v, i in live[1:]]
-    bit = 1 << id0
-    out = [t | bit for t in _spanning_trees(vertices - {v0}, contracted)]
-    rest = live[1:]
-    if _connected(vertices, rest):  # not a bridge: trees can avoid it
-        out.extend(_spanning_trees(vertices, rest))
-    return out
+    if not vertices & (vertices - 1):
+        out.append(chosen)
+        return
+    if not edges:
+        return
+    (e0, id0), rest = edges[0], edges[1:]
+    low = e0 & -e0
+    high = e0 ^ low
+    contracted = []
+    for e, i in rest:
+        if e & high:
+            e = e ^ high | low
+        if e & (e - 1):
+            contracted.append((e, i))
+    _spanning_trees(vertices ^ high, contracted, chosen | 1 << id0, out)
+    if _connected(vertices, [e for e, _ in rest]):  # not a bridge
+        _spanning_trees(vertices, rest, chosen, out)
 
 
 def spanning_tree_count(graph):
@@ -168,7 +171,7 @@ def spanning_tree_count(graph):
     return bareiss_det(minor)
 
 
-class GraphPolynomial:
+class GraphPolynomial(_Immutable):
     """A set of squarefree monomials in the edge variables, all of one degree.
 
     ``monomials`` holds each distinct monomial once, as the sorted tuple of
@@ -185,9 +188,6 @@ class GraphPolynomial:
             raise ValueError("monomials of mixed degree: %s" % sorted(degrees))
         object.__setattr__(self, "degree", degrees.pop() if degrees else 0)
         object.__setattr__(self, "monomials", monomials)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GraphPolynomial is immutable")
 
     def __len__(self):
         return len(self.monomials)
@@ -220,8 +220,9 @@ def kirchhoff_polynomial(graph):
     if count > MAX_TREES:
         raise ValueError("%s has %d spanning trees, more than the %d this "
                          "enumeration allows" % (graph, count, MAX_TREES))
-    trees = _spanning_trees(frozenset(range(1, graph.n_vertices + 1)),
-                            [(u, v, i) for i, (u, v) in enumerate(graph.edges)])
+    trees = []
+    _spanning_trees((1 << graph.n_vertices) - 1,
+                    list(zip(_ends(graph.edges), range(graph.n_edges))), 0, trees)
     check(len(trees) == count,
           "deletion-contraction disagrees with the matrix-tree count")
     ids = range(graph.n_edges)
@@ -243,7 +244,7 @@ def is_primitive_log_divergent(graph):
     n = graph.n_vertices
     if n < 2 or graph.n_edges != 2 * n - 2:
         return False
-    ends = [1 << (u - 1) | 1 << (v - 1) for u, v in graph.edges]
+    ends = _ends(graph.edges)
     for mask in range(1, (1 << n) - 1):
         size = mask.bit_count()
         if size >= 2 and sum(e & mask == e for e in ends) > 2 * size - 3:

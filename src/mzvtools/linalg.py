@@ -6,13 +6,12 @@
   reduces the row against the current pivots and, if independent,
   back-substitutes into every pivot row that holds the new pivot column, so
   the basis stays fully reduced.  ``insert_all`` adds a batch by the same
-  steps over the integers mod a few large primes, combines the primes by
-  CRT, rebuilds each entry by rational reconstruction and then verifies
-  the result exactly against every input row, so its answer is the exact
-  one (the multimodular method of the MZV Data Mine, Bluemlein-Broadhurst-
-  Vermaseren, arXiv:0907.2557).  For relation matrices the reduced rows
-  are supported on the pivot column plus the few free columns.  Every
-  reported rank and decomposition comes from it.
+  steps fraction-free over the integers, keeping each pivot row primitive,
+  then checks in integers that every input row is the combination of the
+  pivot rows its pivot columns select, and only then divides each pivot row
+  by its pivot entry.  For relation matrices the reduced rows are supported
+  on the pivot column plus the few free columns.  Every reported rank and
+  decomposition comes from it.
 * ``bareiss_det`` -- dense one-step fraction-free elimination over
   unbounded integers, for the matrix-tree count of spanning trees.
 """
@@ -21,15 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
-from .errors import InvariantError
-
-# The primes insert_all works modulo, tried in this order until the
-# reconstructed echelon verifies.  Mersenne primes: 2^127 - 1 alone
-# reconstructs every relation echelon through weight 11; weight 12, whose
-# entries reach 70 bits, also needs 2^107 - 1.
-PRIMES = (2 ** 127 - 1, 2 ** 107 - 1, 2 ** 89 - 1, 2 ** 521 - 1)
+from .errors import check
 
 
 class SparseRREF:
@@ -59,7 +52,7 @@ class SparseRREF:
         out = {c: Fraction(v) for c, v in row.items() if v}
         # one pass suffices: pivot rows only touch non-pivot columns
         for c in [c for c in out if c in self.pivot_rows]:
-            _subtract(out, out.pop(c), self.pivot_rows[c], c)
+            _subtract(out, out[c], self.pivot_rows[c])
         return out
 
     def insert(self, row):
@@ -75,9 +68,8 @@ class SparseRREF:
         new_row = {c: v / pv for c, v in out.items()}
         # back-substitute into every pivot row that holds the new pivot column
         for target in self.pivot_rows.values():
-            coef = target.pop(p, None)
-            if coef is not None:
-                _subtract(target, coef, new_row, p)
+            if p in target:
+                _subtract(target, target[p], new_row)
         self.pivot_rows[p] = new_row
         return p
 
@@ -85,53 +77,50 @@ class SparseRREF:
         """Add every row of an iterable; returns the rank.
 
         The input rows, with the rows already held, are scaled to integers
-        and eliminated mod the primes of ``PRIMES`` in turn, each by the
-        steps of ``insert``.  Primes with the same pivot columns are combined
-        by CRT; where two disagree, the one with fewer pivots, or as many
-        pivots placed later in priority order, was unlucky and is dropped.
-        Each entry is then rebuilt by rational reconstruction.  The rebuilt
-        rows are kept only if every input row reduces to zero against them:
-        they then span the input's row space, and there are rank_p <= rank_Q
-        of them, so they are its reduced echelon form.  A failed
-        reconstruction or check adds the next prime; InvariantError when
-        none is left.
+        and eliminated exactly over the integers by the steps of ``insert``,
+        fraction-free: clearing column c from a row takes a*row - b*P_c,
+        where (a, b) is (P_c[c], row[c]) over their gcd, and every pivot
+        row is kept primitive (the gcd of its entries divided out, its
+        pivot entry positive).  These steps keep the pivot rows in the input's row
+        space; they are kept only after every input row checks out as a
+        combination of them (``_spans``), so they span all of it and form
+        its reduced echelon form.  InvariantError if the check fails; the
+        rows held are then kept.
         """
         rows = [r for r in map(_integer_row, chain(self.pivot_rows.values(), rows)) if r]
         # Rows whose leading column comes last go first: a new pivot column is
         # then rarely in the rows already eliminated, so back-substitution has
-        # little to do (mod 2^127 - 1 the weight-10 relation rows take 0.05 s
-        # in this order and 0.66 s in table order).
+        # little to do (the weight-10 relation rows take 0.1-0.2 s in this
+        # order and 0.7-0.9 s in table order).
         rows.sort(key=lambda r: min(map(self.priority, r)), reverse=True)
-        held = self.pivot_rows
-        residues = None
-        for p in PRIMES:
-            echelon = _echelon_mod(rows, p, self.priority)
-            if residues is not None and echelon.keys() == residues.keys():
-                residues = _crt(residues, modulus, echelon, p)
-                modulus *= p
-            elif residues is None or (_pivot_key(echelon, self.priority)
-                                      < _pivot_key(residues, self.priority)):
-                residues, modulus = echelon, p
-            else:
-                continue  # p was unlucky; the residues already failed
-            self.pivot_rows = _reconstruct(residues, modulus)
-            if self.pivot_rows is not None and not any(map(self.reduce, rows)):
-                return self.rank
-        self.pivot_rows = held
-        raise InvariantError("the multimodular echelon of %d rows did not "
-                             "verify mod %d primes" % (len(rows), len(PRIMES)))
+        pivots = {}   # pivot column -> primitive integer row, pivot entry > 0
+        for row in rows:
+            for c in [c for c in row if c in pivots]:
+                row = _cleared(row, c, pivots[c])
+            if not row:
+                continue
+            p = min(row, key=self.priority)
+            row = _primitive(row, row[p])
+            for q, target in pivots.items():
+                if p in target:
+                    pivots[q] = _primitive(_cleared(target, p, row))
+            pivots[p] = row
+        check(_spans(rows, pivots), "the integer echelon of %d rows does not "
+              "span them" % len(rows))
+        self.pivot_rows = {p: {c: Fraction(v, row[p]) for c, v in row.items()}
+                           for p, row in pivots.items()}
+        return self.rank
 
 
-def _subtract(target, coef, row, skip):
-    """target -= coef * row in place, over the columns of row except skip."""
+def _subtract(target, coef, row):
+    """target -= coef * row in place, for coef and entries of row nonzero."""
     get = target.get
-    for cc, v in row.items():
-        if cc != skip:
-            s = get(cc, 0) - coef * v
-            if s:
-                target[cc] = s
-            elif cc in target:
-                del target[cc]
+    for c, v in row.items():
+        s = get(c, 0) - coef * v
+        if s:
+            target[c] = s
+        else:
+            del target[c]   # a zero sum needs a term of target, as coef * v != 0
 
 
 def _integer_row(row):
@@ -142,97 +131,43 @@ def _integer_row(row):
     return {c: int(v * den) for c, v in row.items()}
 
 
-def _echelon_mod(rows, p, priority):
-    """The reduced echelon form of integer rows mod the prime p, built by
-    the steps of ``SparseRREF.insert``; each pivot row is stored without
-    its pivot entry, which is 1."""
-    pivots = {}
-    for row in rows:
-        out = {}
-        for c, v in row.items():
-            v %= p
-            if v:
-                out[c] = v
-        for c in [c for c in out if c in pivots]:
-            _subtract_mod(out, out.pop(c), pivots[c], p)
-        if not out:
-            continue
-        piv = min(out, key=priority)
-        inv = pow(out.pop(piv), -1, p)
-        new_row = {c: v * inv % p for c, v in out.items()}
-        for target in pivots.values():
-            coef = target.pop(piv, None)
-            if coef is not None:
-                _subtract_mod(target, coef, new_row, p)
-        pivots[piv] = new_row
-    return pivots
+def _primitive(row, lead=1):
+    """An integer row divided by the gcd of its entries, with the sign of
+    ``lead``."""
+    g = gcd(*row.values()) or 1
+    if lead < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def _subtract_mod(target, coef, row, p):
-    """target -= coef * row mod p in place."""
-    get = target.get
-    for c, v in row.items():
-        s = (get(c, 0) - coef * v) % p
-        if s:
-            target[c] = s
-        else:
-            target.pop(c, None)
-
-
-def _pivot_key(pivots, priority):
-    """Sort key that puts the echelon mod a lucky prime first.
-
-    The pivots in the first k columns in priority order count the rank of
-    the rows cut down to those columns, and a rank mod p never exceeds the
-    rank over Q; a lucky prime reaches it for every k."""
-    return -len(pivots), sorted(map(priority, pivots))
-
-
-def _crt(residues, modulus, echelon, p):
-    """Combine entries mod ``modulus`` with the entries mod p of an echelon
-    with the same pivot columns; an absent entry is 0."""
-    inv = pow(modulus, -1, p)
-    out = {}
-    for piv, row in residues.items():
-        other = echelon[piv]
-        new_row = {}
-        for c in dict.fromkeys(chain(row, other)):
-            a = row.get(c, 0)
-            new_row[c] = a + modulus * ((other.get(c, 0) - a) * inv % p)
-        out[piv] = new_row
+def _cleared(row, c, prow):
+    """The integer row a*row - b*prow, where (a, b) is (prow[c], row[c])
+    over their gcd: column c cancels, and a > 0 when prow[c] > 0, so an
+    entry in a column prow lacks keeps its sign."""
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    out = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
+    _subtract(out, b, prow)
     return out
 
 
-def _reconstruct(residues, modulus):
-    """Fraction pivot rows, pivot entry 1, from their entries mod
-    ``modulus``; None if some entry has no rational reconstruction."""
-    bound = isqrt(modulus // 2)
-    out = {}
-    for piv, row in residues.items():
-        new_row = {piv: Fraction(1)}
-        for c, a in row.items():
-            q = _rational(a, modulus, bound)
-            if q is None:
-                return None
-            if q:
-                new_row[c] = q
-        out[piv] = new_row
-    return out
+def _spans(rows, pivots):
+    """True when every integer row r is the combination of the integer pivot
+    rows P_c that its pivot columns c select: L*r = sum (L/a_c)*r[c]*P_c on
+    every column, where a_c = P_c[c] and L is the lcm of those a_c.
 
-
-def _rational(a, m, bound):
-    """The fraction r/s with |r|, s <= bound and r = a*s mod m, if any
-    (Wang's rational reconstruction: the extended Euclidean algorithm on
-    m and a, stopped at the first remainder within the bound)."""
-    r0, r1 = m, a % m
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
+    Written apart from the elimination, so a fault in it shows here."""
+    for r in rows:
+        cols = [c for c in r if c in pivots]
+        den = lcm(*(pivots[c][c] for c in cols))
+        acc = {k: den * v for k, v in r.items()}
+        for c in cols:
+            m = den // pivots[c][c] * r[c]
+            for k, v in pivots[c].items():
+                acc[k] = acc.get(k, 0) - m * v
+        if any(acc.values()):
+            return False
+    return True
 
 
 def bareiss_det(rows):

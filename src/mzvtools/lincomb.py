@@ -16,10 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
+from .errors import _Immutable
 from .words import WORD_KINDS, word_kind
 
 
-class LinComb:
+class LinComb(_Immutable):
     """A rational linear combination of words of a single kind."""
 
     __slots__ = ("_coeffs",)
@@ -39,9 +40,6 @@ class LinComb:
             raise TypeError("cannot mix word kinds in one combination: %s"
                             % sorted(t.__name__ for t in kinds))
         object.__setattr__(self, "_coeffs", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinComb is immutable")
 
     @classmethod
     def zero(cls):

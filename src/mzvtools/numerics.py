@@ -32,13 +32,14 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mp, mpf
 
+from .errors import _Immutable
 from .words import Composition, letters_to_parts
 
 GUARD = 10
 DEFAULT_SEED = 42
 
 
-class BigReal:
+class BigReal(_Immutable):
     """A real number rounded to an explicit number of decimal digits."""
 
     __slots__ = ("value", "digits")
@@ -55,9 +56,6 @@ class BigReal:
                 value = mpf(value)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "digits", digits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BigReal is immutable")
 
     def nstr(self, significant=None):
         return mp.nstr(self.value, significant or self.digits)

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .algebra import shuffle, stuffle
 from .dims import count_hoffman_words, dimension
-from .errors import check
+from .errors import _Immutable, check
 from .lincomb import LinComb
 from .linalg import SparseRREF
 from .words import Composition, enumerate_compositions, letters_to_parts
@@ -80,7 +80,7 @@ def _relation_row(m, n, columns):
     return dict(sorted((columns[p], c) for p, c in acc.items() if c))
 
 
-class RelationMatrix:
+class RelationMatrix(_Immutable):
     """All double-shuffle (and optionally Hoffman) rows at one weight,
     expressed over the convergent compositions of that weight in canonical
     order: sparse {column index: int} rows, each with a provenance string.
@@ -94,9 +94,6 @@ class RelationMatrix:
         object.__setattr__(self, "_sparse_rows", tuple(rows))
         object.__setattr__(self, "provenance", tuple(provenance))
         object.__setattr__(self, "_echelon", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RelationMatrix is immutable")
 
     @property
     def n_columns(self):
@@ -194,10 +191,10 @@ def echelon_form(matrix):
     the Hoffman-last pivot priority.
 
     All rows go in through one ``SparseRREF.insert_all`` call: they are
-    eliminated modulo large primes, the entries are rebuilt as fractions,
-    and the result is kept only after every row reduces to zero against it
-    exactly.  Computed on the first call and kept on the matrix; the result
-    is shared, so callers must not insert rows into it.
+    eliminated exactly over the integers, and the result is kept only after
+    every row checks out in integers as a combination of the pivot rows.
+    Computed on the first call and kept on the matrix; the result is shared,
+    so callers must not insert rows into it.
     """
     if matrix._echelon is None:
         rref = SparseRREF(priority=_hoffman_last_priority(matrix.basis))

@@ -31,8 +31,10 @@ lexicographically.
 
 from __future__ import annotations
 
+from .errors import _Immutable
 
-class _Word:
+
+class _Word(_Immutable):
     """A word as an immutable tuple ``letters``.
 
     Equality needs the same type and the same tuple, so words of different
@@ -43,12 +45,6 @@ class _Word:
 
     def __init__(self, letters):
         object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def __delattr__(self, name):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @property
     def weight(self):

@@ -34,3 +34,10 @@ def test_tracer_installs_runs_and_uninstalls(monkeypatch):
             # through its module global
             "detect.detect", "detect.lll_reduce"} <= names
     assert set(spans.cache_counts()) == {"shuffle", "stuffle", "polylog_half"}
+    # the echelon notes read pivot_rows, so a change of its format shows
+    # here and not only in a traced benchmark run
+    metrics = spans.layer_metrics(tracer.spans, 1.0, spans.cache_counts())
+    tables = [relations.relation_table(w) for w in range(2, 5)]
+    assert metrics["linalg.rows_in"] == sum(t.n_rows for t in tables)
+    assert metrics["linalg.rank"] == sum(map(relations.matrix_rank, tables))
+    assert metrics["linalg.max_entry_bits"] >= 1

@@ -270,6 +270,18 @@ def test_malformed_word_is_domain_error(capsys):
     assert "error:" in err
 
 
+def test_zero_denominator_in_a_detect_factor_exits_one(capsys):
+    code, _, err = run(capsys, "detect", "(2)", "1/0")
+    assert code == 1
+    assert err == "error: zero denominator in '1/0'\n"
+
+
+def test_json_graph_without_edges_exits_one(capsys):
+    code, _, err = run(capsys, "feynman", "check", '{"vertices": 3}')
+    assert code == 1
+    assert err == "error: a JSON graph needs the keys edges\n"
+
+
 @pytest.mark.parametrize("samples", ["inf", "1e400", "nan"])
 def test_non_finite_sample_count_exits_one(capsys, samples):
     # main returns instead of letting an OverflowError out as a traceback

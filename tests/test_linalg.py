@@ -126,7 +126,7 @@ def test_bareiss_det_singular():
     assert bareiss_det(m) == 0
 
 
-# ------------------------------------------------- multimodular insert_all
+# ------------------------------------------------------------ insert_all
 
 
 def inserted_one_by_one(rows, priority=None):
@@ -178,7 +178,7 @@ def test_insert_all_matches_one_by_one_on_relation_tables(weight):
 @pytest.mark.parametrize("weight, digest", [
     (10, "bd494fd3a656ed82cd7a50fd94208fbe183cf1351ab3d18a44d2550e69b74523"),
     (11, "21e62ba1ce631bf740f29c641fd84418eac8ad6c8d0b1597b02c9fdea6ee27db"),
-])
+], ids=["w10", "w11"])
 def test_relation_echelons_are_frozen(weight, digest):
     rows = echelon_form(relation_table(weight)).pivot_rows
     text = "\n".join("%d: %s" % (piv, " ".join("%d:%d/%d" % (c, v.numerator, v.denominator)
@@ -187,12 +187,8 @@ def test_relation_echelons_are_frozen(weight, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def count_primes_used(monkeypatch):
-    used = []
-    echelon_mod = linalg._echelon_mod
-    monkeypatch.setattr(linalg, "_echelon_mod",
-                        lambda rows, p, priority: used.append(p) or echelon_mod(rows, p, priority))
-    return used
+# rank 2; its echelon holds 999/142 and -500/71
+NEEDS_A_LARGE_MODULUS = [{0: 1000, 1: 999}, {0: 6, 1: 5, 2: 7}]
 
 
 @pytest.mark.parametrize("rows", [
@@ -200,84 +196,34 @@ def count_primes_used(monkeypatch):
     [{0: 1, 1: 2}, {0: 1, 1: 9}, {1: 3, 2: 1}],
     # rank 1 either way, but mod 7 the pivot moves from column 0 to 1
     [{0: 7, 1: 1}, {0: 14, 1: 2}],
+    NEEDS_A_LARGE_MODULUS,
 ])
-def test_unlucky_first_prime_still_ends_exact(monkeypatch, rows):
-    monkeypatch.setattr(linalg, "PRIMES", (7, 2 ** 61 - 1))
-    used = count_primes_used(monkeypatch)
+def test_insert_all_is_exact_where_small_primes_fail(rows):
     rref = SparseRREF()
     rref.insert_all(rows)
-    assert used == [7, 2 ** 61 - 1]
     assert rref.pivot_rows == inserted_one_by_one(rows).pivot_rows
 
 
-# rank 2, rank 1 mod 7; its echelon holds 999/142 and -500/71, which need a
-# modulus above 2 * 999 * 142
-NEEDS_A_LARGE_MODULUS = [{0: 1000, 1: 999}, {0: 6, 1: 5, 2: 7}]
-
-
-def test_unlucky_later_prime_is_dropped(monkeypatch):
-    # 1009 alone cannot rebuild the entries; 7 then loses a pivot and is
-    # dropped; 1013 and 1019 join 1009 by CRT
-    monkeypatch.setattr(linalg, "PRIMES", (1009, 7, 1013, 1019, 1021))
-    used = count_primes_used(monkeypatch)
+def test_insert_all_rebuilds_entries_with_large_denominators():
     rref = SparseRREF()
     rref.insert_all(NEEDS_A_LARGE_MODULUS)
-    assert rref.pivot_rows == inserted_one_by_one(NEEDS_A_LARGE_MODULUS).pivot_rows
-    assert rref.pivot_rows[1][2] == Fraction(-500, 71)
-    assert used == [1009, 7, 1013, 1019]
+    assert rref.pivot_rows == {0: {0: 1, 2: Fraction(999, 142)},
+                               1: {1: 1, 2: Fraction(-500, 71)}}
 
 
-def test_too_small_first_modulus_still_ends_exact(monkeypatch):
-    monkeypatch.setattr(linalg, "PRIMES", (101, 103, 2 ** 61 - 1))
-    used = count_primes_used(monkeypatch)
-    rref = SparseRREF()
-    rref.insert_all(NEEDS_A_LARGE_MODULUS)
-    assert used == [101, 103, 2 ** 61 - 1]
-    assert rref.pivot_rows == inserted_one_by_one(NEEDS_A_LARGE_MODULUS).pivot_rows
+def test_a_faulty_elimination_step_is_an_invariant_error(monkeypatch):
+    cleared = linalg._cleared
 
+    def drops_an_entry(row, c, prow):
+        out = cleared(row, c, prow)
+        if len(out) > 1:
+            out.popitem()
+        return out
 
-def test_exhausted_prime_tuple_is_an_invariant_error(monkeypatch):
-    monkeypatch.setattr(linalg, "PRIMES", (101, 103))
+    monkeypatch.setattr(linalg, "_cleared", drops_an_entry)
     rref = SparseRREF()
     rref.insert({0: 1, 3: 1})
     held = {c: dict(row) for c, row in rref.pivot_rows.items()}
     with pytest.raises(InvariantError):
         rref.insert_all(NEEDS_A_LARGE_MODULUS)
     assert rref.pivot_rows == held
-
-
-def is_strong_probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)):
-    """Miller-Rabin with fixed bases; a proof of primality below 3.3e24."""
-    if n < 2:
-        return False
-    for b in bases:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def test_miller_rabin_separates_primes_from_composites():
-    assert [n for n in range(60) if is_strong_probable_prime(n)] == [
-        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    # strong pseudoprimes to the first bases, and a Mersenne composite
-    for n in (2047, 3215031751, 3825123056546413051, 2 ** 67 - 1):
-        assert not is_strong_probable_prime(n)
-
-
-def test_every_prime_in_the_tuple_passes_miller_rabin():
-    assert linalg.PRIMES
-    assert len(set(linalg.PRIMES)) == len(linalg.PRIMES)
-    assert all(is_strong_probable_prime(p) for p in linalg.PRIMES)

@@ -1,8 +1,9 @@
 import pytest
 
-from mzvtools import (BinaryWord, Composition, GenericWord, enumerate_compositions,
-                      from_binary, parse_binary_word, parse_composition,
-                      parse_generic_word)
+from mzvtools import (BigReal, BinaryWord, Composition, GenericWord, Graph,
+                      GraphPolynomial, LinComb, build_relation_matrix,
+                      enumerate_compositions, from_binary, parse_binary_word,
+                      parse_composition, parse_generic_word)
 
 
 def test_composition_basics():
@@ -175,3 +176,24 @@ def test_deleting_the_letters_is_refused(word):
         with pytest.raises(AttributeError, match="^%s is immutable$" % type(word).__name__):
             delattr(word, name)
     assert word == type(word)(word.letters) and hash(word)
+
+
+# the other value types share the words' immutable base
+@pytest.mark.parametrize("make", [
+    lambda: LinComb.term(Composition((2,)), 3),
+    lambda: BigReal(1, 10),
+    lambda: Graph.parse("V=3; 1-2,1-3,2-3"),
+    lambda: GraphPolynomial([(0,), (1,)]),
+    lambda: build_relation_matrix(4),
+], ids=["LinComb", "BigReal", "Graph", "GraphPolynomial", "RelationMatrix"])
+def test_value_types_refuse_setting_and_deleting(make):
+    obj = make()
+    text = str(obj)
+    refused = "^%s is immutable$" % type(obj).__name__
+    for name in obj.__slots__:
+        with pytest.raises(AttributeError, match=refused):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=refused):
+            delattr(obj, name)
+        getattr(obj, name)
+    assert str(obj) == text
