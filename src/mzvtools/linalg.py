@@ -1,17 +1,16 @@
-"""Exact linear algebra over the rationals, sized for relation matrices.
+"""Exact linear algebra over the integers and rationals, sized for relation
+matrices.
 
-* ``SparseRREF`` -- reduced row echelon form over ``Fraction`` with sparse
-  rows and a configurable column priority for pivot choice.  Rows are
-  {column: int or Fraction} maps.  ``insert`` adds one row exactly: it
-  reduces the row against the current pivots and, if independent,
-  back-substitutes into every pivot row that holds the new pivot column, so
-  the basis stays fully reduced.  ``insert_all`` adds a batch by the same
-  steps fraction-free over the integers, keeping each pivot row primitive,
-  then checks in integers that every input row is the combination of the
-  pivot rows its pivot columns select, and only then divides each pivot row
-  by its pivot entry.  For relation matrices the reduced rows are supported
-  on the pivot column plus the few free columns.  Every reported rank and
-  decomposition comes from it.
+* ``SparseRREF`` -- the reduced row echelon form of one batch of sparse
+  integer rows, {column: nonzero int} maps, with a configurable column
+  priority for pivot choice.  ``insert_all`` eliminates the batch
+  fraction-free over the integers, keeping each pivot row primitive and
+  back-substituting each new pivot into every pivot row that holds its
+  column, then checks in integers that every input row is the combination of
+  the pivot rows its pivot columns select, and only then divides each pivot
+  row by its pivot entry.  For relation matrices the reduced rows are
+  supported on the pivot column plus the few free columns.  Every reported
+  rank and decomposition comes from it.
 * ``bareiss_det`` -- dense one-step fraction-free elimination over
   unbounded integers, for the matrix-tree count of spanning trees.
 """
@@ -19,21 +18,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 from .errors import check
 
 
 class SparseRREF:
-    """Reduced row echelon form with sparse rational rows.
+    """Reduced row echelon form of one batch of sparse integer rows.
 
     ``priority`` maps a column index to its pivot preference (lower is
     chosen first); by default the column index itself.  Each pivot row's
     pivot is its most preferred column, so for a one-to-one priority the
     pivot columns and the rows depend only on the row space, not on the
-    order or the method of insertion.  Columns that never get a pivot are
-    the free columns of the accumulated row space.
+    order of the rows.  Columns that never get a pivot are the free columns
+    of the row space.
     """
 
     def __init__(self, priority=None):
@@ -44,50 +42,22 @@ class SparseRREF:
     def rank(self):
         return len(self.pivot_rows)
 
-    def reduce(self, row):
-        """Return the residue of ``row`` modulo the current row space.
-
-        ``row`` is a {column: coefficient} map; the input is not mutated.
-        """
-        out = {c: Fraction(v) for c, v in row.items() if v}
-        # one pass suffices: pivot rows only touch non-pivot columns
-        for c in [c for c in out if c in self.pivot_rows]:
-            _subtract(out, out[c], self.pivot_rows[c])
-        return out
-
-    def insert(self, row):
-        """Add a row to the row space.
-
-        Returns the new pivot column, or None if the row was dependent.
-        """
-        out = self.reduce(row)
-        if not out:
-            return None
-        p = min(out, key=self.priority)
-        pv = out[p]
-        new_row = {c: v / pv for c, v in out.items()}
-        # back-substitute into every pivot row that holds the new pivot column
-        for target in self.pivot_rows.values():
-            if p in target:
-                _subtract(target, target[p], new_row)
-        self.pivot_rows[p] = new_row
-        return p
-
     def insert_all(self, rows):
-        """Add every row of an iterable; returns the rank.
+        """Compute the echelon of one batch of {column: nonzero int} rows;
+        returns the rank.
 
-        The input rows, with the rows already held, are scaled to integers
-        and eliminated exactly over the integers by the steps of ``insert``,
-        fraction-free: clearing column c from a row takes a*row - b*P_c,
-        where (a, b) is (P_c[c], row[c]) over their gcd, and every pivot
-        row is kept primitive (the gcd of its entries divided out, its
-        pivot entry positive).  These steps keep the pivot rows in the input's row
-        space; they are kept only after every input row checks out as a
-        combination of them (``_spans``), so they span all of it and form
-        its reduced echelon form.  InvariantError if the check fails; the
-        rows held are then kept.
+        The rows, empty ones skipped, are eliminated exactly over the
+        integers, fraction-free: clearing column c from a row takes
+        a*row - b*P_c, where (a, b) is (P_c[c], row[c]) over their gcd; a new
+        pivot row is made primitive (the gcd of its entries divided out, its
+        pivot entry positive) and cleared the same way from every pivot row
+        that holds its column.  These steps keep the pivot rows in the input's
+        row space; they are kept only after every input row checks out as a
+        combination of them (``_spans``), so they span all of it and form its
+        reduced echelon form.  The input rows are not changed.
+        InvariantError if the check fails; ``pivot_rows`` is then unchanged.
         """
-        rows = [r for r in map(_integer_row, chain(self.pivot_rows.values(), rows)) if r]
+        rows = [r for r in rows if r]
         # Rows whose leading column comes last go first: a new pivot column is
         # then rarely in the rows already eliminated, so back-substitution has
         # little to do (the weight-10 relation rows take 0.1-0.2 s in this
@@ -112,25 +82,6 @@ class SparseRREF:
         return self.rank
 
 
-def _subtract(target, coef, row):
-    """target -= coef * row in place, for coef and entries of row nonzero."""
-    get = target.get
-    for c, v in row.items():
-        s = get(c, 0) - coef * v
-        if s:
-            target[c] = s
-        else:
-            del target[c]   # a zero sum needs a term of target, as coef * v != 0
-
-
-def _integer_row(row):
-    """The nonzero entries of a rational row, scaled to integers by the lcm
-    of their denominators."""
-    row = {c: v for c, v in row.items() if v}
-    den = lcm(*(v.denominator for v in row.values()))
-    return {c: int(v * den) for c, v in row.items()}
-
-
 def _primitive(row, lead=1):
     """An integer row divided by the gcd of its entries, with the sign of
     ``lead``."""
@@ -147,7 +98,13 @@ def _cleared(row, c, prow):
     g = gcd(prow[c], row[c])
     a, b = prow[c] // g, row[c] // g
     out = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
-    _subtract(out, b, prow)
+    get = out.get
+    for k, v in prow.items():
+        s = get(k, 0) - b * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]   # a zero sum needs a term of out, as b * v != 0
     return out
 
 

@@ -173,17 +173,8 @@ def _table(weight):
 def _hoffman_last_priority(basis):
     """Pivot priority that visits non-Hoffman columns first, each group in
     canonical order, so free columns land on Hoffman words when possible."""
-    order = {}
-    nxt = 0
-    for i, w in enumerate(basis):
-        if not is_hoffman(w):
-            order[i] = nxt
-            nxt += 1
-    for i, w in enumerate(basis):
-        if is_hoffman(w):
-            order[i] = nxt
-            nxt += 1
-    return order.__getitem__
+    order = sorted(range(len(basis)), key=lambda i: (is_hoffman(basis[i]), i))
+    return {i: rank for rank, i in enumerate(order)}.__getitem__
 
 
 def echelon_form(matrix):
@@ -194,7 +185,7 @@ def echelon_form(matrix):
     eliminated exactly over the integers, and the result is kept only after
     every row checks out in integers as a combination of the pivot rows.
     Computed on the first call and kept on the matrix; the result is shared,
-    so callers must not insert rows into it.
+    so callers must not change it.
     """
     if matrix._echelon is None:
         rref = SparseRREF(priority=_hoffman_last_priority(matrix.basis))

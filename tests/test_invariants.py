@@ -22,20 +22,28 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-# Module-level names kept although the package neither exports nor uses
-# them, each with the reason it stays (for example, kept as an oracle).
+# Module-level names and methods (``Class.method``) kept although the
+# package neither exports nor uses them, each with the reason it stays (for
+# example, kept as an oracle).
 KEPT_UNUSED = {}
 
 
 def unused_definitions(package_dir):
-    """Module-level functions and classes that ``__all__`` does not export
-    and that no code in the package names outside their own definition."""
-    exported, defined, named = set(), [], []
+    """Module-level functions and classes that ``__all__`` does not export,
+    and the methods (``Class.method``, dunders aside) of classes it does not
+    export, that no code in the package names outside their own definition."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    exported, defined, methods, named = set(), [], [], []
     for path in sorted(package_dir.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((node.name, path.name, node.lineno, node.end_lineno))
+            if isinstance(node, functions + (ast.ClassDef,)):
+                defined.append((node.name, node.name, path.name, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                methods += [(node.name, "%s.%s" % (node.name, m.name), m.name, path.name,
+                             m.lineno, m.end_lineno)
+                            for m in node.body if isinstance(m, functions)
+                            and not (m.name.startswith("__") and m.name.endswith("__"))]
             elif isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 exported.update(ast.literal_eval(node.value))
@@ -44,8 +52,9 @@ def unused_definitions(package_dir):
                 named.append((node.id, path.name, node.lineno))
             elif isinstance(node, ast.Attribute):
                 named.append((node.attr, path.name, node.lineno))
-    return sorted(name for name, file, first, last in defined
-                  if name not in exported
+    defined += [m[1:] for m in methods if m[0] not in exported]
+    return sorted(key for key, name, file, first, last in defined
+                  if key not in exported
                   and not any(n == name and not (f == file and first <= line <= last)
                               for n, f, line in named))
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -38,6 +39,17 @@ def random_sparse_rows(rng, n_rows, n_cols, density=0.4):
     return rows
 
 
+def integer_rows(rows):
+    """Rational rows scaled to integers by the lcm of their denominators,
+    zeros dropped: the same row space, as ``insert_all`` takes it."""
+    out = []
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        den = lcm(*(v.denominator for v in row.values()))
+        out.append({c: int(v * den) for c, v in row.items()})
+    return out
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_rank_engines_agree(seed):
     rng = random.Random(seed)
@@ -46,42 +58,22 @@ def test_rank_engines_agree(seed):
     expected = gauss_rank(rows, n_cols)
 
     rref = SparseRREF()
-    rref.insert_all(dict(r) for r in rows)
+    rref.insert_all(integer_rows(rows))
     assert rref.rank == expected
 
 
 def test_rank_of_dependent_rows():
-    rows = [{0: Fraction(1), 1: Fraction(2)},
-            {0: Fraction(2), 1: Fraction(4)},
-            {0: Fraction(3), 1: Fraction(6)}]
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {0: 3, 1: 6}]
     rref = SparseRREF()
-    rref.insert_all(dict(r) for r in rows)
+    rref.insert_all(rows)
     assert rref.rank == 1
-
-
-def test_insert_reports_new_pivot_or_none():
-    rref = SparseRREF()
-    assert rref.insert({0: Fraction(1), 1: Fraction(1)}) == 0
-    assert rref.insert({1: Fraction(1)}) == 1
-    assert rref.insert({0: Fraction(2), 1: Fraction(5)}) is None
-    assert rref.rank == 2
-
-
-def test_reduce_is_idempotent_and_pivot_free():
-    rng = random.Random(3)
-    rref = SparseRREF()
-    rref.insert_all(dict(r) for r in random_sparse_rows(rng, 6, 6))
-    row = {j: Fraction(rng.randint(-3, 3)) for j in range(6)}
-    reduced = rref.reduce(dict(row))
-    assert all(col not in rref.pivot_rows for col in reduced)
-    assert rref.reduce(dict(reduced)) == reduced
 
 
 def test_pivot_rows_are_fully_back_substituted():
     # every pivot row must be zero on all other pivot columns
     rng = random.Random(9)
     rref = SparseRREF()
-    rref.insert_all(dict(r) for r in random_sparse_rows(rng, 12, 8))
+    rref.insert_all(integer_rows(random_sparse_rows(rng, 12, 8)))
     for pivcol, row in rref.pivot_rows.items():
         assert row[pivcol] == 1
         for other in rref.pivot_rows:
@@ -93,11 +85,11 @@ def test_priority_steers_pivot_choice():
     # with column 1 made expensive, the pivot for a row hitting {0,1} is 0,
     # and column 1 is left free
     rref = SparseRREF(priority={0: 0, 1: 10}.get)
-    rref.insert({0: Fraction(1), 1: Fraction(1)})
+    rref.insert_all([{0: 1, 1: 1}])
     assert list(rref.pivot_rows) == [0]
     assert rref.pivot_rows[0] == {0: 1, 1: 1}
     flipped = SparseRREF(priority={0: 10, 1: 0}.get)
-    flipped.insert({0: Fraction(1), 1: Fraction(1)})
+    flipped.insert_all([{0: 1, 1: 1}])
     assert list(flipped.pivot_rows) == [1]
 
 
@@ -129,11 +121,35 @@ def test_bareiss_det_singular():
 # ------------------------------------------------------------ insert_all
 
 
-def inserted_one_by_one(rows, priority=None):
-    rref = SparseRREF(priority)
+def minus(target, coef, row):
+    """target - coef * row, zeros dropped."""
+    out = dict(target)
+    for c, v in row.items():
+        out[c] = out.get(c, 0) - coef * v
+    return {c: v for c, v in out.items() if v}
+
+
+def inserted_one_by_one(rows, priority=lambda c: c):
+    """The oracle for ``insert_all``: the reduced echelon over ``Fraction``,
+    one row at a time.  Each row is reduced by the pivot rows of its pivot
+    columns; if a residue is left, it is scaled to pivot entry 1 at its most
+    preferred column and back-substituted into every pivot row that holds
+    that column.  Returns the pivot rows, {pivot column: {column: Fraction}}."""
+    pivots = {}
     for row in rows:
-        rref.insert(row)
-    return rref
+        out = {c: Fraction(v) for c, v in row.items() if v}
+        # one pass suffices: pivot rows only touch non-pivot columns
+        for c in [c for c in out if c in pivots]:
+            out = minus(out, out[c], pivots[c])
+        if not out:
+            continue
+        p = min(out, key=priority)
+        new_row = {c: v / out[p] for c, v in out.items()}
+        for q, target in pivots.items():
+            if p in target:
+                pivots[q] = minus(target, target[p], new_row)
+        pivots[p] = new_row
+    return pivots
 
 
 def reversed_priority(n_cols):
@@ -148,20 +164,9 @@ def test_insert_all_matches_one_by_one_insert(seed):
     rows.append({0: Fraction(0), n_cols - 1: Fraction(0)})  # explicit zeros only
     priority = reversed_priority(n_cols)
     batch = SparseRREF(priority)
-    assert batch.insert_all(iter(rows)) == batch.rank
-    assert batch.pivot_rows == inserted_one_by_one(rows, priority).pivot_rows
+    assert batch.insert_all(integer_rows(rows)) == batch.rank
+    assert batch.pivot_rows == inserted_one_by_one(rows, priority)
     assert all(type(v) is Fraction for row in batch.pivot_rows.values() for v in row.values())
-
-
-def test_insert_all_keeps_rows_already_held():
-    rng = random.Random(7)
-    rows = random_sparse_rows(rng, 9, 7)
-    priority = reversed_priority(7)
-    rref = SparseRREF(priority)
-    for row in rows[:4]:
-        rref.insert(row)
-    rref.insert_all(r for r in rows[4:])
-    assert rref.pivot_rows == inserted_one_by_one(rows, priority).pivot_rows
 
 
 @pytest.mark.parametrize("weight", range(2, 10))
@@ -170,7 +175,15 @@ def test_insert_all_matches_one_by_one_on_relation_tables(weight):
     priority = _hoffman_last_priority(matrix.basis)
     batch = SparseRREF(priority)
     batch.insert_all(matrix.rows())
-    assert batch.pivot_rows == inserted_one_by_one(matrix.rows(), priority).pivot_rows
+    assert batch.pivot_rows == inserted_one_by_one(matrix.rows(), priority)
+
+
+def test_insert_all_leaves_its_input_rows_unchanged():
+    # the table's rows are shared by every reader of the table
+    matrix = relation_table(8)
+    before = [dict(row) for row in matrix.rows()]
+    SparseRREF(_hoffman_last_priority(matrix.basis)).insert_all(matrix.rows())
+    assert list(matrix.rows()) == before
 
 
 # One-by-one insert is too slow past weight 9, so the echelons of weights 10
@@ -201,7 +214,7 @@ NEEDS_A_LARGE_MODULUS = [{0: 1000, 1: 999}, {0: 6, 1: 5, 2: 7}]
 def test_insert_all_is_exact_where_small_primes_fail(rows):
     rref = SparseRREF()
     rref.insert_all(rows)
-    assert rref.pivot_rows == inserted_one_by_one(rows).pivot_rows
+    assert rref.pivot_rows == inserted_one_by_one(rows)
 
 
 def test_insert_all_rebuilds_entries_with_large_denominators():
@@ -222,8 +235,6 @@ def test_a_faulty_elimination_step_is_an_invariant_error(monkeypatch):
 
     monkeypatch.setattr(linalg, "_cleared", drops_an_entry)
     rref = SparseRREF()
-    rref.insert({0: 1, 3: 1})
-    held = {c: dict(row) for c, row in rref.pivot_rows.items()}
     with pytest.raises(InvariantError):
         rref.insert_all(NEEDS_A_LARGE_MODULUS)
-    assert rref.pivot_rows == held
+    assert rref.pivot_rows == {}

@@ -148,7 +148,7 @@ def test_rank_is_invariant_under_row_order():
         shuffled = rows[:]
         random.Random(seed).shuffle(shuffled)
         rref = SparseRREF()
-        rref.insert_all(dict(r) for r in shuffled)
+        rref.insert_all(shuffled)
         assert rref.rank == base
 
 
