@@ -1,21 +1,15 @@
 """Shuffle and stuffle products on words, and their regularizations.
 
-The shuffle product interleaves two letter words in all order-preserving
-ways; it is computed by the recursion
+Both products are quasi-shuffles (Hoffman, "Quasi-shuffle products", 2000),
+computed by one recursion on last letters,
 
-    (u a) sh (v b) = ((u a) sh v) b + (u sh (v b)) a
+    (u a) * (v b) = ((u a) * v) b + (u * (v b)) a  [+ (u * v) [a + b]],
 
-on last letters, with memoization on the (prefix, prefix) pairs, never by
-enumerating permutations.  It applies to binary integration words and to
-generic letter words alike.
-
-The stuffle (quasi-shuffle) product on compositions interleaves parts and
-additionally allows the two current parts to merge by addition:
-
-    (a y_m) st (b y_n) = ((a y_m) st b) y_n + (a st (b y_n)) y_m
-                         + (a st b) y_{m+n}
-
-with the empty word as unit.
+with the empty word as unit and memoization on the (prefix, prefix) pairs,
+never by enumerating permutations.  The shuffle product interleaves two
+letter words (binary integration words or generic letter words alike) and
+has no bracketed term; the stuffle product on compositions also merges the
+two last parts by addition, the bracketed term.
 
 Both products make the respective word spans commutative algebras, and both
 extend to divergent words through regularization: there is exactly one
@@ -24,11 +18,13 @@ convergent word and kills the divergent generator(s) -- the single letters
 0 and 1 for the shuffle algebra, the part (1) for the stuffle algebra
 (taking the regularization parameter to be zero).  Divergence sits at the
 word ends: a leading 0 or a trailing 1 for integration words, a trailing
-part 1 for compositions.  The maps are computed by peeling those runs; for
-example with trailing-1 run m in u 1^m, the product 1 sh (u 1^(m-1))
-contains u 1^m exactly m times and otherwise only words with a shorter
-trailing run, so reg(u 1^m) = -(1/m) reg(rest) and the recursion
-terminates on convergent words.
+part 1 for compositions.  One step serves both maps: it peels a leading run
+of the killed letter 0 (shuffle only), or else a trailing run of the killed
+letter 1, and fixes any other word.  For example with trailing-1 run m in
+u 1^m, the product 1 * (u 1^(m-1)) contains u 1^m exactly m times and
+otherwise only words with a shorter trailing run, so reg(u 1^m) is
+-(1/m) reg(rest) and the recursion terminates on convergent words; a pure
+power 1^m has no rest, so its image is 0.
 """
 
 from __future__ import annotations
@@ -46,41 +42,33 @@ from .words import BinaryWord, Composition, GenericWord
 _CACHE_SIZE = 2 ** 15
 
 
+def _quasi_shuffle(product, merge, u, v):
+    """One step of the last-letter recursion; ``product`` is the cached
+    function that calls it, and ``merge`` adds the term that merges the two
+    last letters by addition."""
+    if not u or not v:
+        return ((u + v, 1),)
+    steps = [(product(u[:-1], v), u[-1]), (product(u, v[:-1]), v[-1])]
+    if merge:
+        steps.append((product(u[:-1], v[:-1]), u[-1] + v[-1]))
+    out = {}
+    for terms, last in steps:
+        for w, c in terms:
+            key = w + (last,)
+            out[key] = out.get(key, 0) + c
+    return tuple(sorted(out.items()))
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _shuffle_letters(u, v):
     """Shuffle two letter tuples; returns ((word, multiplicity), ...)."""
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    out = {}
-    for w, c in _shuffle_letters(u[:-1], v):
-        key = w + (u[-1],)
-        out[key] = out.get(key, 0) + c
-    for w, c in _shuffle_letters(u, v[:-1]):
-        key = w + (v[-1],)
-        out[key] = out.get(key, 0) + c
-    return tuple(sorted(out.items()))
+    return _quasi_shuffle(_shuffle_letters, False, u, v)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _stuffle_parts(a, b):
     """Stuffle two part tuples; returns ((parts, multiplicity), ...)."""
-    if not a:
-        return ((b, 1),)
-    if not b:
-        return ((a, 1),)
-    out = {}
-    for w, c in _stuffle_parts(a[:-1], b):
-        key = w + (a[-1],)
-        out[key] = out.get(key, 0) + c
-    for w, c in _stuffle_parts(a, b[:-1]):
-        key = w + (b[-1],)
-        out[key] = out.get(key, 0) + c
-    for w, c in _stuffle_parts(a[:-1], b[:-1]):
-        key = w + (a[-1] + b[-1],)
-        out[key] = out.get(key, 0) + c
-    return tuple(sorted(out.items()))
+    return _quasi_shuffle(_stuffle_parts, True, a, b)
 
 
 def shuffle(u, v):
@@ -129,39 +117,34 @@ def _peel(letters, run, terms, regularize):
     return tuple(sorted((w, -c / run) for w, c in acc.items() if c))
 
 
+def _run(letters, x):
+    """Length of the leading run of the letter x in ``letters``."""
+    return next((i for i, y in enumerate(letters) if y != x), len(letters))
+
+
+def _reg_step(regularize, product, lead, letters):
+    """One regularization step: peel a leading run of the killed letter
+    ``lead`` (None when no letter is killed there), or else a trailing run of
+    the killed letter 1; fix any other word."""
+    if letters[:1] == (lead,):
+        return _peel(letters, _run(letters, lead), product((lead,), letters[1:]),
+                     regularize)
+    if letters[-1:] == (1,):
+        return _peel(letters, _run(letters[::-1], 1), product((1,), letters[:-1]),
+                     regularize)
+    return ((letters, Fraction(1)),)
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _reg_shuffle(letters):
     """Shuffle regularization on a letter tuple; ((letters, Fraction), ...)."""
-    if not letters:
-        return (((), Fraction(1)),)
-    if letters[0] == 1 and letters[-1] == 0:
-        return ((letters, Fraction(1)),)
-    if letters[0] == 0:
-        # peel the leading 0-run: 0 sh (0^(k-1) v) = k * letters + shorter runs
-        k = 1
-        while k < len(letters) and letters[k] == 0:
-            k += 1
-        if k == len(letters):
-            return ()  # a pure power of the killed letter
-        return _peel(letters, k, _shuffle_letters((0,), letters[1:]), _reg_shuffle)
-    # starts with 1, ends with 1: peel the trailing 1-run
-    m = 1
-    while m < len(letters) and letters[-1 - m] == 1:
-        m += 1
-    if m == len(letters):
-        return ()
-    return _peel(letters, m, _shuffle_letters((1,), letters[:-1]), _reg_shuffle)
+    return _reg_step(_reg_shuffle, _shuffle_letters, 0, letters)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _reg_stuffle(parts):
     """Stuffle regularization on a part tuple; ((parts, Fraction), ...)."""
-    if not parts or parts[-1] >= 2:
-        return ((parts, Fraction(1)),)
-    m = 1
-    while m < len(parts) and parts[-1 - m] == 1:
-        m += 1
-    return _peel(parts, m, _stuffle_parts((1,), parts[:-1]), _reg_stuffle)
+    return _reg_step(_reg_stuffle, _stuffle_parts, None, parts)
 
 
 def shuffle_regularize(word):

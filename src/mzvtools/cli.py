@@ -28,8 +28,8 @@ from . import __version__
 from .algebra import shuffle, stuffle
 from .detect import detect
 from .dims import count_f_monomials, count_hoffman_words, dimension
-from .feynman import (Graph, is_primitive_log_divergent, kirchhoff_polynomial,
-                      match_period, period_monte_carlo)
+from .feynman import (Graph, check_match_weight, is_primitive_log_divergent,
+                      kirchhoff_polynomial, match_period, period_monte_carlo)
 from .lincomb import LinComb
 from .numerics import DEFAULT_SEED, GUARD, BigReal, mzv_eval, zeta_euler_maclaurin
 from .relations import (DEFAULT_MAX_WEIGHT, build_relation_matrix, check_weight,
@@ -246,6 +246,8 @@ def _dispatch(args):
             raise ValueError("--samples must be a finite count, got %r" % (args.samples,))
         if not samples.is_integer():
             raise ValueError("--samples must be a whole count, got %r" % (args.samples,))
+        if args.match_weight is not None:
+            check_match_weight(args.match_weight)
         est = period_monte_carlo(graph, int(samples), args.seed)
         obj = {"graph": str(graph), "estimate": est.value, "stderr": est.stderr,
                "samples": est.samples, "seed": est.seed}

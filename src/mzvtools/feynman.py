@@ -16,7 +16,9 @@ connected subgraph with a cycle has strictly more than twice as many edges
 as independent cycles.  For a connected graph on V vertices that is the
 same as V >= 2, edges = 2V - 2, and every vertex set U with 2 <= |U| < V
 spanning at most 2|U| - 3 edges, so the test counts the edges inside each
-vertex set in 2^V * edges steps.  For such graphs the projective period
+vertex set in 2^V * edges steps.  That time doubles with each vertex, so
+graphs on more than MAX_PRIMITIVE_VERTICES vertices are refused.  For
+primitive log-divergent graphs the projective period
 
     integral over x_i >= 0 (chart x_N = 1) of dx_1 ... dx_{N-1} / Psi_G^2
 
@@ -41,6 +43,9 @@ from .numerics import (DEFAULT_SEED, GUARD, monte_carlo, mzv_eval,
                        zeta_euler_maclaurin)
 
 MAX_TREES = 300_000
+# The primitivity scan takes 2^V * edges steps: 3-5 s for the wheel on 20
+# vertices on a 2-vCPU host, and about twice as long for each vertex more.
+MAX_PRIMITIVE_VERTICES = 20
 # The largest weight whose constants are matched: the candidate list holds a
 # product of simple zetas for every partition of the weight into parts >= 2,
 # so it grows with the partitions of the weight.
@@ -240,10 +245,15 @@ def is_primitive_log_divergent(graph):
     violating, so U spans at least 2|U| - 2 edges, and U = V would make it
     every edge.  Conversely a component of an over-full U is over-full
     itself, and its inside edges form a proper violating subgraph.
+    ValueError for a graph with edges = 2V - 2 on more than
+    MAX_PRIMITIVE_VERTICES vertices.
     """
     n = graph.n_vertices
     if n < 2 or graph.n_edges != 2 * n - 2:
         return False
+    if n > MAX_PRIMITIVE_VERTICES:
+        raise ValueError("%s has %d vertices, more than the %d the primitivity "
+                         "scan allows" % (graph, n, MAX_PRIMITIVE_VERTICES))
     ends = _ends(graph.edges)
     for mask in range(1, (1 << n) - 1):
         size = mask.bit_count()
@@ -339,6 +349,12 @@ class PeriodMatch(NamedTuple):
                 "value": self.value, "score": self.score}
 
 
+def check_match_weight(weight):
+    """Raise ValueError unless 2 <= weight <= MAX_MATCH_WEIGHT."""
+    if not 2 <= weight <= MAX_MATCH_WEIGHT:
+        raise ValueError("weight must be between 2 and %d" % MAX_MATCH_WEIGHT)
+
+
 def match_period(estimate, error, weight):
     """All candidates q * constant within ACCEPT_SIGMA standard errors of the
     estimate, q a small rational, ranked by residual / error.
@@ -354,8 +370,7 @@ def match_period(estimate, error, weight):
     if not (math.isfinite(error) and error >= 0):
         raise ValueError("error must be finite and >= 0, got %r" % (error,))
     error = max(error, math.ulp(estimate))
-    if not 2 <= weight <= MAX_MATCH_WEIGHT:
-        raise ValueError("weight must be between 2 and %d" % MAX_MATCH_WEIGHT)
+    check_match_weight(weight)
     matches = []
     for label, value in period_candidates(weight):
         v = float(value)

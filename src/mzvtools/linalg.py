@@ -55,8 +55,13 @@ class SparseRREF:
         row space; they are kept only after every input row checks out as a
         combination of them (``_spans``), so they span all of it and form its
         reduced echelon form.  The input rows are not changed.
-        InvariantError if the check fails; ``pivot_rows`` is then unchanged.
+        ValueError, before any elimination, if a row holds an explicit zero;
+        InvariantError if the check fails.  ``pivot_rows`` is then unchanged.
         """
+        rows = list(rows)
+        for i, r in enumerate(rows):
+            if 0 in r.values():
+                raise ValueError("row %d holds a zero entry: %r" % (i, r))
         rows = [r for r in rows if r]
         # Rows whose leading column comes last go first: a new pivot column is
         # then rarely in the rows already eliminated, so back-substitution has

@@ -14,9 +14,10 @@ from itertools import combinations, product
 
 import pytest
 
-from mzvtools import (BinaryWord, Composition, GenericWord, LinComb, shuffle,
-                      shuffle_combo, shuffle_regularize, stuffle, stuffle_combo,
-                      stuffle_regularize)
+from mzvtools import (BinaryWord, Composition, GenericWord, LinComb, algebra,
+                      shuffle, shuffle_combo, shuffle_regularize, stuffle,
+                      stuffle_combo, stuffle_regularize)
+from mzvtools.errors import InvariantError
 from mzvtools.words import enumerate_compositions
 
 
@@ -228,6 +229,33 @@ def test_regularize_digest_through_weight_eight():
     assert len(lines) == 767
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "d6b90c4e68a4ee00aa496b8fd78c6ba14a940a8a2a9b0fd01e2d85e85591db51")
+
+
+def test_a_wrong_product_on_a_pure_power_trips_the_peeling_check(monkeypatch):
+    """0 sh 00 = 3*000, so reg(000) = 0; a product that gives 2*000 instead
+    must fail the run-peeling check, not pass as 0."""
+    right = algebra._shuffle_letters
+
+    def wrong(u, v):
+        return (((0, 0, 0), 2),) if (u, v) == ((0,), (0, 0)) else right(u, v)
+
+    algebra._reg_shuffle.cache_clear()
+    monkeypatch.setattr(algebra, "_shuffle_letters", wrong)
+    try:
+        with pytest.raises(InvariantError, match="multiplicity"):
+            shuffle_regularize(BinaryWord("000"))
+    finally:
+        algebra._reg_shuffle.cache_clear()
+
+
+def test_the_shared_product_recursion_stays_memoized():
+    # one cache miss per distinct (prefix, prefix) pair reached
+    for product, u, v, misses in (
+            (algebra._shuffle_letters, (1, 0, 1, 1, 0, 0), (1, 1, 0, 1, 0, 0), 48),
+            (algebra._stuffle_parts, (2, 1, 3, 1, 2, 2), (1, 3, 2, 2, 1, 2), 49)):
+        product.cache_clear()
+        product(u, v)
+        assert product.cache_info().misses == misses
 
 
 def _regularize_combo(combo, regularize):

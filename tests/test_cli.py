@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from mzvtools import feynman, relations
+from mzvtools import cli, feynman, relations
 from mzvtools.cli import main
 
 
@@ -127,11 +127,14 @@ def test_feynman_period_matches_with_zero_stderr(capsys):
 
 
 @pytest.mark.parametrize("weight", ["0", "1", "13"])
-def test_feynman_period_match_weight_out_of_range_exits_one(capsys, weight):
-    # 0 is a weight like any other, not "no matching"
-    code, out, err = run(capsys, "feynman", "period", "V=2; 1-2,1-2",
-                         "--samples", "100", "--match-weight", weight)
-    assert (code, out) == (1, "")
+def test_feynman_period_match_weight_out_of_range_exits_one(monkeypatch, capsys, weight):
+    # 0 is a weight like any other, not "no matching"; the range is checked
+    # before any sampling
+    calls = []
+    monkeypatch.setattr(cli, "period_monte_carlo", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "feynman", "period", "V=4; 1-2,1-3,1-4,2-3,2-4,3-4",
+                         "--samples", "3e6", "--match-weight", weight)
+    assert (code, out, calls) == (1, "", [])
     assert "weight must be between 2 and 12" in err
 
 
@@ -154,6 +157,15 @@ def test_feynman_psi_refuses_too_many_trees_before_enumerating(monkeypatch, caps
     assert code == 1
     assert out == ""
     assert "4782969 spanning trees" in err
+
+
+def test_feynman_check_refuses_too_many_vertices(capsys):
+    # the wheel with 20 spokes: 21 vertices, 40 edges
+    edges = (["1-%d" % i for i in range(2, 22)]
+             + ["%d-%d" % (i, i + 1) for i in range(2, 21)] + ["2-21"])
+    code, out, err = run(capsys, "feynman", "check", "V=21; " + ",".join(edges))
+    assert (code, out) == (1, "")
+    assert "21 vertices, more than the 20" in err
 
 
 # ----------------------------------------------------------------- JSON

@@ -334,6 +334,13 @@ def test_primitivity_scans_vertex_sets_not_edge_subsets():
     assert time.perf_counter() - start < 0.5
 
 
+def test_primitivity_refuses_too_many_vertices_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="21 vertices"):
+        is_primitive_log_divergent(wheel(20))
+    assert time.perf_counter() - start < 0.5
+
+
 # ------------------------------------------------------------ Monte Carlo
 
 def test_period_requires_log_divergent_graph():

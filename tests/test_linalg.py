@@ -238,3 +238,14 @@ def test_a_faulty_elimination_step_is_an_invariant_error(monkeypatch):
     with pytest.raises(InvariantError):
         rref.insert_all(NEEDS_A_LARGE_MODULUS)
     assert rref.pivot_rows == {}
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: 1, 1: 0}, {0: 1}],     # clearing the other row subtracts the zero
+    [{0: 0, 1: 2}],             # the zero would become the pivot
+])
+def test_a_zero_entry_is_refused_before_elimination(rows):
+    rref = SparseRREF()
+    with pytest.raises(ValueError, match="row 0 holds a zero entry"):
+        rref.insert_all(rows)
+    assert rref.pivot_rows == {}
