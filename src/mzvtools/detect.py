@@ -2,9 +2,11 @@
 
 Given reals x1..xm known to P digits, build the integer lattice spanned by
 rows (e_i | round(C x_i)) with C = 10^(P - g), reduce it with LLL over
-exact rational arithmetic, and scan the reduced basis for a vector whose
-first m entries give a combination sum c_i x_i cancelling almost to the
-working precision.  Acceptance requires the residual below
+exact rational arithmetic, its Gram-Schmidt coefficients and squared norms
+taken from the integer inner products of the rows (no Gram-Schmidt
+vectors), and scan the reduced basis once, shortest rows first, for a
+vector whose first m entries give a combination sum c_i x_i cancelling
+almost to the working precision.  Acceptance requires the residual below
 10^-(P - g - s) (guard g = 10, slack s = 5) and max |c_i| within the
 caller's height bound; coefficients are normalized to gcd 1 with positive
 leading entry.
@@ -13,14 +15,16 @@ When nothing is accepted the result still carries information: with the
 LLL quality factor for delta = 3/4, the first reduced vector b1 satisfies
 |b1| <= 2^((m-1)/2) lambda1, and an exact relation of height H yields a
 lattice vector of length at most H sqrt(m + m^2/4), so any true relation
-has height at least |b1| / (2^((m-1)/2) sqrt(m + m^2/4)).
+has height at least |b1| / (2^((m-1)/2) sqrt(m + m^2/4)).  A |b1| past the
+float range is capped at the largest float, which keeps the floor finite
+and still a lower bound.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -32,21 +36,20 @@ _DELTA = Fraction(3, 4)
 
 
 def _gram_schmidt(basis):
-    """Orthogonalize over Fraction; returns (mu matrix, norms^2)."""
-    n = len(basis)
-    gs = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
+    """Gram-Schmidt coefficients mu and squared norms B of integer rows,
+    from their inner products alone (Cohen, Alg. 2.6.3), as Fractions:
+    mu_ij = (<b_i, b_j> - sum_{k<j} mu_jk mu_ik B_k) / B_j and
+    B_i = <b_i, b_i> - sum_{k<i} mu_ik^2 B_k; mu_ij stays 0 where B_j = 0."""
+    mu = [[Fraction(0)] * len(basis) for _ in basis]
     norms = []
-    for i in range(n):
-        v = [Fraction(x) for x in basis[i]]
+    for i, row in enumerate(basis):
         for j in range(i):
-            if norms[j] == 0:
-                continue
-            mu[i][j] = sum(Fraction(basis[i][k]) * gs[j][k]
-                           for k in range(len(v))) / norms[j]
-            v = [v[k] - mu[i][j] * gs[j][k] for k in range(len(v))]
-        gs.append(v)
-        norms.append(sum(x * x for x in v))
+            if norms[j]:
+                dot = sum(x * y for x, y in zip(row, basis[j]))
+                mu[i][j] = (dot - sum(mu[j][k] * mu[i][k] * norms[k]
+                                      for k in range(j))) / norms[j]
+        norms.append(Fraction(sum(x * x for x in row))
+                     - sum(mu[i][k] ** 2 * norms[k] for k in range(i)))
     return mu, norms
 
 
@@ -54,23 +57,25 @@ def lll_reduce(basis):
     """LLL-reduce integer basis rows with exact rational arithmetic and
     delta = 3/4, the value the height floor of ``detect`` rests on.
 
+    Rows of unequal length and non-integral entries raise ValueError.
     Gram-Schmidt is computed at the start and after each swap only.  Size
     reduction b_k -= r b_j (j < k) leaves every Gram-Schmidt vector and
     norm unchanged and changes only row k of mu, by mu_k -= r mu_j with
     mu_jj = 1, which is the update applied in place.
     """
-    b = [list(map(int, row)) for row in basis]
-    n = len(b)
-    if n <= 1:
-        return b
+    b = [[int(x) for x in row] for row in basis]
+    if any(len(row) != len(b[0]) for row in b):
+        raise ValueError("lll_reduce needs rows of equal length")
+    if b != [list(row) for row in basis]:
+        raise ValueError("lll_reduce needs integer entries")
     mu, norms = _gram_schmidt(b)
     k = 1
-    while k < n:
+    while k < len(b):
         for j in range(k - 1, -1, -1):
             q = mu[k][j]
             if abs(q) > Fraction(1, 2):
                 r = int(q + Fraction(1, 2)) if q > 0 else -int(-q + Fraction(1, 2))
-                b[k] = [b[k][i] - r * b[j][i] for i in range(len(b[k]))]
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
                 for i in range(j):
                     mu[k][i] -= r * mu[j][i]
                 mu[k][j] -= r
@@ -143,59 +148,40 @@ def detect(xs, digits=None, height_bound=10 ** 6):
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1, got %s" % (height_bound,))
     m = len(xs)
-    pairs = [_as_mpf(x) for x in xs]
-    digits = digits if digits is not None else min(p for _, p in pairs)
+    values, precisions = zip(*map(_as_mpf, xs))
+    digits = digits if digits is not None else min(precisions)
     needed = 20 + math.log10(height_bound) * m
     if digits < needed:
         raise ValueError("%d digits is too low: need at least %d for %d values "
                          "at height bound %d" % (digits, math.ceil(needed), m,
                                                  height_bound))
-    for _, p in pairs:
+    for p in precisions:
         if p < digits:
             raise ValueError("an input carries only %d digits, below the "
                              "requested %d" % (p, digits))
-    scale_power = digits - GUARD
     with mp.workdps(digits + GUARD):
-        values = [v for v, _ in pairs]
-        scaled = [int(mp.floor(v * mpf(10) ** scale_power + mpf(1) / 2))
-                  for v in values]
-    basis = []
-    for i in range(m):
-        row = [0] * m + [scaled[i]]
-        row[i] = 1
-        basis.append(row)
-    reduced = lll_reduce(basis)
+        scale = mpf(10) ** (digits - GUARD)
+        reduced = lll_reduce([[int(i == j) for j in range(m)]
+                              + [int(mp.floor(v * scale + mpf(1) / 2))]
+                              for i, v in enumerate(values)])
 
     def norm2(row):
         return sum(x * x for x in row)
 
-    first_norm = float(math.isqrt(norm2(reduced[0])))
+    first_norm = float(min(math.isqrt(norm2(reduced[0])), sys.float_info.max))
     height_floor = first_norm / (2 ** ((m - 1) / 2) * math.sqrt(m + m * m / 4.0))
     with mp.workdps(digits + GUARD):
         threshold = mpf(10) ** (-(digits - GUARD - SLACK))
-        best = None
-        for row in sorted(reduced, key=norm2):
-            coeffs = row[:m]
-            if not any(coeffs):
-                continue
-            if max(abs(c) for c in coeffs) > height_bound:
-                continue
+        for coeffs in (row[:m] for row in sorted(reduced, key=norm2)):
             residual = abs(sum(c * v for c, v in zip(coeffs, values)))
-            if residual < threshold:
-                best = (coeffs, residual)
-                break
-        if best is None:
-            residual = abs(sum(c * v for c, v in
-                               zip(reduced[0][:m], values)))
-            return DetectionResult(None, residual, threshold, height_bound,
-                                   height_floor, digits)
-        coeffs, residual = best
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    coeffs = [c // g for c in coeffs]
-    lead = next(c for c in coeffs if c)
-    if lead < 0:
-        coeffs = [-c for c in coeffs]
-    return DetectionResult(tuple(coeffs), residual, threshold, height_bound,
+            if (any(coeffs) and max(map(abs, coeffs)) <= height_bound
+                    and residual < threshold):
+                g = math.gcd(*coeffs)
+                if next(c for c in coeffs if c) < 0:
+                    g = -g
+                return DetectionResult(tuple(c // g for c in coeffs), residual,
+                                       threshold, height_bound, height_floor,
+                                       digits)
+        residual = abs(sum(c * v for c, v in zip(reduced[0][:m], values)))
+    return DetectionResult(None, residual, threshold, height_bound,
                            height_floor, digits)

@@ -3,7 +3,9 @@ recovered with exact coefficient vectors, soundness re-checks at doubled
 precision, and no-relation behavior on random inputs."""
 
 import hashlib
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from mpmath import mp, mpf
 
 from mzvtools import BigReal, Composition, detect, lll_reduce, mzv_eval
 from mzvtools.cli import main
+from mzvtools.detect import _gram_schmidt
 
 
 def norm2(v):
@@ -50,6 +53,66 @@ def test_lll_first_vector_is_short():
     det2 = gram_det(basis)
     n = 3
     assert Fraction(norm2(reduced[0])) ** n <= Fraction(2) ** (n * (n - 1) // 2) * det2
+
+
+def gram_schmidt_by_vectors(basis):
+    """Oracle: build each Gram-Schmidt vector over Fraction and read mu and
+    the squared norms off the vectors; mu_ij stays 0 where B_j = 0."""
+    n = len(basis)
+    gs = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for i in range(n):
+        v = [Fraction(x) for x in basis[i]]
+        for j in range(i):
+            if norms[j] == 0:
+                continue
+            mu[i][j] = sum(Fraction(basis[i][k]) * gs[j][k]
+                           for k in range(len(v))) / norms[j]
+            v = [v[k] - mu[i][j] * gs[j][k] for k in range(len(v))]
+        gs.append(v)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
+
+
+def test_gram_schmidt_from_inner_products_matches_the_vector_oracle():
+    """Seeded integer bases, two in three given an extra zero row or an extra
+    combination of two rows: mu and B agree exactly, as Fractions."""
+    rng = random.Random(12)
+    dependent = 0
+    for trial in range(450):
+        n, dim = rng.randint(1, 6), rng.randint(1, 7)
+        span = rng.choice([2, 40, 10 ** 9, 10 ** 30])
+        basis = [[rng.randint(-span, span) for _ in range(dim)]
+                 for _ in range(n)]
+        if trial % 3:
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            if trial % 3 == 1:
+                s = t = 0
+            a, b = rng.choice(basis), rng.choice(basis)
+            basis.insert(rng.randrange(n + 1),
+                         [s * x + t * y for x, y in zip(a, b)])
+        mu, norms = _gram_schmidt(basis)
+        assert (mu, norms) == gram_schmidt_by_vectors(basis)
+        assert all(type(x) is Fraction for x in norms)
+        assert all(type(x) is Fraction for row in mu for x in row)
+        dependent += 0 in norms
+    assert dependent >= 300
+
+
+@pytest.mark.parametrize("basis", [
+    [[1, 2, 3], [4, 5]],       # a shorter later row
+    [[1, 2], [3, 4, 5]],       # a longer later row
+    [[1.5, 0], [0, 1]],        # a non-integral entry
+])
+def test_lll_reduce_rejects_ragged_or_non_integral_rows(basis):
+    with pytest.raises(ValueError):
+        lll_reduce(basis)
+
+
+def test_lll_reduce_keeps_empty_and_one_row_bases():
+    assert lll_reduce([]) == []
+    assert lll_reduce([(3, -4)]) == [[3, -4]]
 
 
 def relation_lattice(scaled):
@@ -222,3 +285,38 @@ def test_result_json_obj():
     assert obj["coefficients"] == [1, -1]
     assert obj["digits"] == 40
     assert "residual" in obj and "height_floor" in obj
+
+
+def test_height_floor_stays_finite_when_b1_exceeds_float_range(capsys):
+    """At 700 digits the first reduced vector of zeta(2), zeta(3) is longer
+    than the largest float; the floor is capped there, not raised."""
+    code = main(["detect", "(2)", "(3)", "--digits", "700", "--json"])
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert code == 0
+    assert result["coefficients"] is None
+    assert math.isfinite(result["height_floor"])
+    assert result["height_floor"] > 10 ** 300
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_planted_relation_agrees_with_pslq(m):
+    """One primitive relation of height <= 1000 among m - 1 seeded random
+    reals and their combination: detect and mpmath.pslq both find it."""
+    rng = random.Random(m)
+    digits = 50 + 6 * m
+    coeffs = [rng.randint(-1000, 1000) for _ in range(m - 1)]
+    coeffs.append(rng.randint(1, 1000))
+    planted = [c // math.gcd(*coeffs) for c in coeffs]
+    with mp.workdps(digits + 20):
+        xs = [mpf(rng.random()) + mpf(rng.random()) * mpf(10) ** -17
+              for _ in range(m - 1)]
+        xs.append(-sum(c * x for c, x in zip(planted, xs)) / planted[-1])
+    result = detect([BigReal(x, digits) for x in xs], digits,
+                    height_bound=10 ** 3)
+    assert result.found and result.residual < result.threshold
+    with mp.workdps(digits):
+        found = mp.pslq(xs, maxcoeff=10 ** 4, maxsteps=10 ** 5)
+    g = math.gcd(*found)
+    assert list(result.coefficients) in ([c // g for c in found],
+                                         [-c // g for c in found])
+    assert list(result.coefficients) in (planted, [-c for c in planted])
