@@ -57,13 +57,17 @@ def lll_reduce(basis):
     """LLL-reduce integer basis rows with exact rational arithmetic and
     delta = 3/4, the value the height floor of ``detect`` rests on.
 
-    Rows of unequal length and non-integral entries raise ValueError.
+    Rows of unequal length and non-integral entries, infinities and NaN
+    among them, raise ValueError.
     Gram-Schmidt is computed at the start and after each swap only.  Size
     reduction b_k -= r b_j (j < k) leaves every Gram-Schmidt vector and
     norm unchanged and changes only row k of mu, by mu_k -= r mu_j with
     mu_jj = 1, which is the update applied in place.
     """
-    b = [[int(x) for x in row] for row in basis]
+    try:
+        b = [[int(x) for x in row] for row in basis]
+    except (OverflowError, ValueError):  # int() of an infinity or a NaN
+        raise ValueError("lll_reduce needs integer entries") from None
     if any(len(row) != len(b[0]) for row in b):
         raise ValueError("lll_reduce needs rows of equal length")
     if b != [list(row) for row in basis]:

@@ -2,10 +2,14 @@
 
 All routines take a requested precision ``digits`` (decimal) and work
 internally at ``digits + GUARD`` so that the reported digits are trusted;
-results come back as ``BigReal`` values that carry their precision.
-Arbitrary-precision arithmetic, pi and the elementary functions come from
-mpmath; every series, truncation bound and algorithm on top of that is
-implemented here.
+results come back as ``BigReal`` values that carry their precision.  More
+than MAX_DIGITS digits of a polylogarithm or multiple zeta value raise
+ValueError before any summation.  The multiple polylogarithms are summed
+in fixed point: Python ints scaled by 2^B, where every truncation is a
+floor with a stated error bound, converted to mpmath once at the end.
+The simple-zeta routes, pi and the elementary functions use mpmath's
+arbitrary-precision floats; every series, truncation bound and algorithm
+is implemented here.
 
 Evaluation strategy for a convergent multiple zeta value: encode it as an
 iterated integral word over {0, 1} on the path from 0 to 1, split the path
@@ -13,8 +17,10 @@ at 1/2, and rewrite the upper half through t -> 1-t (reverse the subword
 and exchange the letters).  Both halves become multiple polylogarithms at
 z = 1/2, where the defining nested sums converge geometrically: about
 3.33 * digits terms each, for any weight.  The polylogarithm itself is
-summed by the prefix-sum dynamic program, costing depth * N scalar
-operations, never N^depth.
+summed by the prefix-sum dynamic program in one loop over the N terms,
+costing depth * N integer operations, never N^depth, in O(depth) memory.
+The two halves of every split share one scale, so their products are
+summed as ints.
 
 Simple zeta values have two independent routes for cross-checking: the
 Euler-Maclaurin corrected partial sum (any integer s >= 2), and for even s
@@ -36,11 +42,19 @@ from .errors import _Immutable
 from .words import Composition, letters_to_parts
 
 GUARD = 10
+# Larger requests fail at once rather than run for minutes: at 2000 digits
+# zeta(3,9) takes about 2 s on a 2-vCPU host, and the time grows about
+# fourfold each time the digits double.
+MAX_DIGITS = 2000
 DEFAULT_SEED = 42
 
 
 class BigReal(_Immutable):
-    """A real number rounded to an explicit number of decimal digits."""
+    """A real number rounded to an explicit number of decimal digits.
+
+    ``value`` is a Fraction or anything mpf reads, such as an exact
+    (mantissa, exponent) pair of ints, which is rounded once.
+    """
 
     __slots__ = ("value", "digits")
 
@@ -195,39 +209,82 @@ def _truncation_index(parts, z, dps):
     return n
 
 
-def _polylog_raw(parts, z, dps):
-    """Sum the nested series for Li_{parts}(1,...,1,z) at dps digits (mpf).
+def _scale_bits(dps):
+    """Fraction bits B of the fixed-point values at dps digits: one unit,
+    2^-B, is below 2^-16 * 10^-dps."""
+    return math.ceil(dps * math.log2(10)) + 16
 
-    ``z`` is an exact Fraction in (0, 1].
+
+def _polylog_fixed(parts, z, bits, n):
+    """The first n terms of Li_{parts}(z) = sum_{k1<...<kr} z^kr / prod ki^ni
+    as an int scaled by 2^bits, for a nonempty ``parts`` and a Fraction z in
+    (0, 1].
+
+    One loop over k keeps a running prefix sum per level: the column of
+    level j at k is the prefix sum of level j-1 up to k-1, floor-divided by
+    k^nj (level 0 is the constant 2^bits), so memory is O(depth) for any n.
+    The last column is weighted by z^k: a right shift by s*k when z = 2^-s,
+    else a running weight 2^bits z^k updated by ``* p // q``.
+
+    Truncation error, in units 2^-bits: every floor loses less than one
+    unit, a level-j column holds at most 2^bits and is below its exact
+    value by less than j units, so the result never exceeds the n-term sum
+    and lies below it by less than depth * sum_{k<=n} z^k + n units.  That
+    is at most depth + n at z = 1/2 and (depth + 1) * n at z = 1.  For
+    other z = p/q the running weight is low by less than 1/(1-z) <= q units,
+    which makes it less than (depth + 1 + q) * n.
     """
-    r = len(parts)
-    if r == 0:
-        with mp.workdps(dps):
-            return mpf(1)
+    one = 1 << bits
+    p, q = z.numerator, z.denominator
+    s = q.bit_length() - 1
+    shift = p == 1 and q == 1 << s
+    *inner, last = parts
+    sums = [0] * len(inner)
+    total, weight = 0, one
+    for k in range(1, n + 1):
+        prev = one
+        for j, nj in enumerate(inner):
+            prev, sums[j] = sums[j], sums[j] + prev // k ** nj
+        if shift:
+            total += prev // k ** last >> s * k
+        else:
+            weight = weight * p // q
+            total += prev // k ** last * weight >> bits
+    return total
+
+
+def _polylog_raw(parts, z, dps):
+    """Li_{parts}(z) at dps digits as an int scaled by 2^_scale_bits(dps).
+
+    ``z`` is an exact Fraction in (0, 1]; the scale depends on dps alone,
+    so all values at one precision share it.  The series is cut where its
+    tail drops below 10^-(dps+1) (``_truncation_index``), and the kernel
+    runs enough bits finer that its error bound (``_polylog_fixed``) is
+    below one unit of the shared scale; the final shift loses less than
+    one more.  The result is therefore below the truncated sum by less
+    than 2 units.
+    """
+    bits = _scale_bits(dps)
+    if not parts:
+        return 1 << bits
     n = _truncation_index(parts, z, dps)
-    with mp.workdps(dps + 5):
-        zm = mpf(z.numerator) / z.denominator
-        col = [mpf(k) ** (-parts[0]) for k in range(1, n + 1)]
-        for ni in parts[1:]:
-            prefix = mpf(0)
-            new = []
-            for k in range(1, n + 1):
-                new.append(prefix * mpf(k) ** (-ni))
-                prefix += col[k - 1]
-            col = new
-        total = mpf(0)
-        zp = mpf(1)
-        for k in range(n):
-            zp *= zm
-            total += col[k] * zp
-        return total
+    extra = ((len(parts) + 1 + z.denominator) * n).bit_length()
+    return _polylog_fixed(parts, z, bits + extra, n) >> extra
 
 
-# At least four times the 986 half-path values of the numeric-w10 benchmark
-# session; a sweep over every convergent weight-12 word needs 3,072.
+# Half-path values, ints at the scale of their dps (a few hundred bytes
+# each).  At least four times the 986 half-path values of the numeric-w10
+# benchmark session; a sweep over every convergent weight-12 word needs
+# 3,072.
 @lru_cache(maxsize=2 ** 12)
 def _polylog_half(parts, dps):
     return _polylog_raw(parts, Fraction(1, 2), dps)
+
+
+def _check_digits(digits):
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError("digits must be between 1 and %d, got %d"
+                         % (MAX_DIGITS, digits))
 
 
 def multiple_polylog(comp, z, digits):
@@ -235,32 +292,20 @@ def multiple_polylog(comp, z, digits):
 
     ``z`` may be a Fraction, int or float with 0 < z < 1, or exactly 1 when
     the composition is convergent.  Divergent compositions (last part 1)
-    are fine for z < 1, where convergence is geometric.
+    are fine for z < 1, where convergence is geometric.  A raw tuple goes
+    through ``Composition``, so parts below 1 raise ValueError, as do more
+    than MAX_DIGITS digits.
     """
-    parts = comp.parts if isinstance(comp, Composition) else tuple(comp)
+    comp = comp if isinstance(comp, Composition) else Composition(comp)
     zq = Fraction(z)  # exact for int, Fraction and (dyadic) float inputs
     if not 0 < zq <= 1:
         raise ValueError("z must satisfy 0 < z <= 1, got %s" % (z,))
-    if zq == 1 and parts and parts[-1] < 2:
-        raise ValueError("the series diverges at z = 1 for %s" % (Composition(parts),))
-    value = _polylog_raw(parts, zq, digits + GUARD)
-    return BigReal(value, digits)
-
-
-def _mzv_raw(parts, dps):
-    word = Composition(parts).to_binary()
-    letters = word.letters
-    n = len(letters)
-    with mp.workdps(dps + 5):
-        total = mpf(0)
-        for k in range(n + 1):
-            lower = letters[:k]
-            upper = tuple(1 - a for a in reversed(letters[k:]))
-            # both path pieces of a convergent word start with the letter 1
-            f1 = _polylog_half(letters_to_parts(lower), dps)
-            f2 = _polylog_half(letters_to_parts(upper), dps)
-            total += f1 * f2
-        return total
+    if zq == 1 and not comp.is_convergent:
+        raise ValueError("the series diverges at z = 1 for %s" % (comp,))
+    _check_digits(digits)
+    dps = digits + GUARD
+    # mpf reads an (int, exponent) pair exactly and rounds it once
+    return BigReal((_polylog_raw(comp.parts, zq, dps), -_scale_bits(dps)), digits)
 
 
 def mzv_eval(comp, digits):
@@ -268,14 +313,26 @@ def mzv_eval(comp, digits):
 
     Splits the iterated-integral path at 1/2; each half is a multiple
     polylogarithm at z = 1/2 (the upper half after t -> 1-t), so the work
-    grows linearly in digits and weight.
+    grows linearly in digits and weight.  Every half is at most 1 and
+    less than 2 units of the shared scale 2^-B below its truncated sum, so
+    each product, summed as an int at scale 2^(2B), is less than 4 units
+    of 2^-B below the product of the truncated halves; the sum is rounded
+    to digits once.  More than MAX_DIGITS digits raise ValueError before
+    any summation.
     """
     comp = comp if isinstance(comp, Composition) else Composition(comp)
     if not comp.is_convergent:
         raise ValueError("%s diverges; regularize before evaluating" % (comp,))
-    if not comp.parts:
-        return BigReal(1, digits)
-    return BigReal(_mzv_raw(comp.parts, digits + GUARD), digits)
+    _check_digits(digits)
+    dps = digits + GUARD
+    letters = comp.to_binary().letters
+    total = 0
+    for k in range(len(letters) + 1):
+        # both path pieces of a convergent word start with the letter 1
+        lower = letters_to_parts(letters[:k])
+        upper = letters_to_parts(tuple(1 - a for a in reversed(letters[k:])))
+        total += _polylog_half(lower, dps) * _polylog_half(upper, dps)
+    return BigReal((total, -2 * _scale_bits(dps)), digits)
 
 
 def hypercube_integrand(x, y):

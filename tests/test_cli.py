@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from mzvtools import cli, feynman, relations
+from mzvtools import cli, feynman, numerics, relations
 from mzvtools.cli import main
 
 
@@ -262,6 +262,15 @@ def test_precision_error_exits_one(capsys):
                        "--height-bound", str(10 ** 30))
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [("eval", "(2)"), ("detect", "(2)", "(3)")])
+def test_digits_beyond_the_cap_exit_one_at_once(capsys, monkeypatch, argv):
+    # 10^5 digits of zeta(2) used to run for minutes; nothing is summed now
+    monkeypatch.setattr(numerics, "_polylog_half", None)
+    code, out, err = run(capsys, *argv, "--digits", "100000")
+    assert (code, out) == (1, "")
+    assert err == "error: digits must be between 1 and %d, got 100000\n" % numerics.MAX_DIGITS
 
 
 def test_usage_error_exits_two():

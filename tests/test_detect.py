@@ -110,6 +110,13 @@ def test_lll_reduce_rejects_ragged_or_non_integral_rows(basis):
         lll_reduce(basis)
 
 
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_lll_reduce_rejects_non_finite_entries(x):
+    # an infinity used to escape as OverflowError from int()
+    with pytest.raises(ValueError, match="integer entries"):
+        lll_reduce([[x, 0], [0, 1]])
+
+
 def test_lll_reduce_keeps_empty_and_one_row_bases():
     assert lll_reduce([]) == []
     assert lll_reduce([(3, -4)]) == [[3, -4]]

@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, pi, zeta as mp_zeta
 
-from mzvtools import (BigReal, Composition, bernoulli, hypercube_zeta2,
-                      multiple_polylog, mzv_eval, zeta_euler_maclaurin,
-                      zeta_even_closed_form)
-from mzvtools.numerics import hypercube_integrand
+from mzvtools import (BigReal, Composition, bernoulli, enumerate_compositions,
+                      hypercube_zeta2, multiple_polylog, mzv_eval,
+                      zeta_euler_maclaurin, zeta_even_closed_form)
+from mzvtools.numerics import (GUARD, MAX_DIGITS, _polylog_fixed, _polylog_raw,
+                               _scale_bits, _truncation_index, hypercube_integrand)
 
 
 # ---------------------------------------------------------------- BigReal
@@ -165,6 +166,15 @@ def test_polylog_at_one_is_zeta():
         assert abs(v.value - pi ** 2 / 6) < mpf(10) ** -3
 
 
+def test_polylog_validates_raw_tuples():
+    # parts below 1 used to be summed as if they were exponents
+    for parts in [(-1, 2), (0, 2)]:
+        with pytest.raises(ValueError, match="parts must be integers >= 1"):
+            multiple_polylog(parts, 0.5, 10)
+    assert multiple_polylog((1, 2), 0.5, 20).nstr() == multiple_polylog(
+        Composition((1, 2)), Fraction(1, 2), 20).nstr()
+
+
 def test_polylog_at_one_requires_convergent_word():
     with pytest.raises(ValueError):
         multiple_polylog(Composition((1,)), 1, 10)
@@ -190,7 +200,95 @@ def test_polylog_z_one_precision_cap():
         multiple_polylog(Composition((2,)), 1, 40)
 
 
+# --------------------------------------------- fixed-point polylog kernel
+
+HALF = Fraction(1, 2)
+
+
+def polylog_columns_oracle(words, n, dps):
+    """The mpf prefix-sum loop the integer kernel replaced, kept as its
+    oracle: for every word its last column c_k = sum_{k1<...<k_{r-1}<k}
+    1/(k1^n1 ... k^nr), k = 1..n, at dps digits.  Each column is built from
+    the column of the word without its last part, so ``words`` must hold
+    every prefix of each of its words."""
+    cols = {}
+    with mp.workdps(dps):
+        for parts in sorted(words, key=len):
+            if len(parts) == 1:
+                cols[parts] = [mpf(1) / k ** parts[0] for k in range(1, n + 1)]
+                continue
+            prefix = mpf(0)
+            new = []
+            for k in range(1, n + 1):
+                new.append(prefix / k ** parts[-1])
+                prefix += cols[parts[:-1]][k - 1]
+            cols[parts] = new
+    return cols
+
+
+def powers(z, n):
+    """z^1, ..., z^n at the current precision."""
+    zm = mpf(z.numerator) / z.denominator
+    return [zm ** k for k in range(1, n + 1)]
+
+
+def all_compositions(max_weight):
+    return [c.parts for w in range(1, max_weight + 1) for c in enumerate_compositions(w)]
+
+
+# Every half-path word is a composition.  At 300 digits the mpf oracle
+# would take about 15 s for all of weight <= 10 on a 2-vCPU host, so it
+# covers weight <= 8 there (5 s).
+@pytest.mark.parametrize("digits,max_weight", [(40, 10), (300, 8)])
+def test_half_path_kernel_matches_the_mpf_oracle(digits, max_weight):
+    """At z = 1/2 the kernel lies below the truncated sum by less than
+    depth + N units of its scale, and the shared-scale value by less than 2
+    units, each below 2^-16 10^-dps."""
+    dps = digits + GUARD
+    bits = _scale_bits(dps)
+    words = all_compositions(max_weight)
+    ns = {parts: _truncation_index(parts, HALF, dps) for parts in words}
+    cols = polylog_columns_oracle(words, max(ns.values()), dps + 20)
+    with mp.workdps(dps + 20):
+        unit = mpf(2) ** -bits
+        weights = powers(HALF, max(ns.values()))
+        for parts in words:
+            n = ns[parts]
+            exact = mp.fdot(cols[parts][:n], weights[:n])
+            low = exact / unit - _polylog_fixed(parts, HALF, bits, n)
+            assert -1e-6 < low < len(parts) + n, parts
+            low = exact / unit - _polylog_raw(parts, HALF, dps)
+            assert -1e-6 < low < 2, parts
+            assert low * unit < mpf(2) ** -15 * mpf(10) ** -dps, parts
+
+
+@pytest.mark.parametrize("z,n,bound", [
+    (Fraction(1, 3), 120, lambda depth, n: (depth + 4) * n),
+    (Fraction(1), 1500, lambda depth, n: (depth + 1) * n),
+])
+def test_kernel_matches_the_mpf_oracle_off_one_half(z, n, bound):
+    """At other z the kernel's bound is (depth + 1 + q) * N units, and at
+    z = 1 (depth + 1) * N."""
+    bits = 100
+    words = all_compositions(6)
+    cols = polylog_columns_oracle(words, n, 60)
+    with mp.workdps(60):
+        weights = powers(z, n)
+        for parts in words:
+            low = mp.fdot(cols[parts], weights) * 2 ** bits - _polylog_fixed(parts, z, bits, n)
+            assert -1e-6 < low < bound(len(parts), n), parts
+
+
 # -------------------------------------------------------------- mzv_eval
+
+def test_precision_beyond_the_cap_fails_before_summing():
+    for evaluate in (lambda d: mzv_eval((2,), d),
+                     lambda d: multiple_polylog((2,), HALF, d)):
+        with pytest.raises(ValueError, match="digits must be between 1 and %d" % MAX_DIGITS):
+            evaluate(MAX_DIGITS + 1)
+        with pytest.raises(ValueError, match="digits must be between"):
+            evaluate(0)
+
 
 def test_mzv_empty_word_is_one():
     assert float(mzv_eval(Composition(), 20)) == 1.0
