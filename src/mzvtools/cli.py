@@ -21,6 +21,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -67,7 +68,10 @@ def _mzv_expression(text, digits):
     return BigReal(total, digits)
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The ``mzv`` parser, built on the first ``main`` call and then reused:
+    building it costs far more than parsing one command line."""
     parser = argparse.ArgumentParser(
         prog="mzv",
         description="exact and numeric toolkit for multiple zeta values")

@@ -3,13 +3,13 @@
 Given reals x1..xm known to P digits, build the integer lattice spanned by
 rows (e_i | round(C x_i)) with C = 10^(P - g), reduce it with LLL over
 exact rational arithmetic, its Gram-Schmidt coefficients and squared norms
-taken from the integer inner products of the rows (no Gram-Schmidt
-vectors), and scan the reduced basis once, shortest rows first, for a
-vector whose first m entries give a combination sum c_i x_i cancelling
-almost to the working precision.  Acceptance requires the residual below
-10^-(P - g - s) (guard g = 10, slack s = 5) and max |c_i| within the
-caller's height bound; coefficients are normalized to gcd 1 with positive
-leading entry.
+taken one row at a time from the integer inner products of the rows (no
+Gram-Schmidt vectors), and scan the reduced basis once, shortest rows
+first, for a vector whose first m entries give a combination sum c_i x_i
+cancelling almost to the working precision.  Acceptance requires the
+residual below 10^-(P - g - s) (guard g = 10, slack s = 5) and max |c_i|
+within the caller's height bound; coefficients are normalized to gcd 1
+with positive leading entry.
 
 When nothing is accepted the result still carries information: with the
 LLL quality factor for delta = 3/4, the first reduced vector b1 satisfies
@@ -29,28 +29,30 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
+from .errors import integral
 from .numerics import GUARD, BigReal
 
 SLACK = 5
 _DELTA = Fraction(3, 4)
 
 
-def _gram_schmidt(basis):
-    """Gram-Schmidt coefficients mu and squared norms B of integer rows,
-    from their inner products alone (Cohen, Alg. 2.6.3), as Fractions:
-    mu_ij = (<b_i, b_j> - sum_{k<j} mu_jk mu_ik B_k) / B_j and
-    B_i = <b_i, b_i> - sum_{k<i} mu_ik^2 B_k; mu_ij stays 0 where B_j = 0."""
-    mu = [[Fraction(0)] * len(basis) for _ in basis]
-    norms = []
-    for i, row in enumerate(basis):
-        for j in range(i):
-            if norms[j]:
-                dot = sum(x * y for x, y in zip(row, basis[j]))
-                mu[i][j] = (dot - sum(mu[j][k] * mu[i][k] * norms[k]
-                                      for k in range(j))) / norms[j]
-        norms.append(Fraction(sum(x * x for x in row))
-                     - sum(mu[i][k] ** 2 * norms[k] for k in range(i)))
-    return mu, norms
+def _gram_schmidt_row(b, k, mu, norms):
+    """Set row k of the Gram-Schmidt coefficients mu and the squared norm
+    B_k of integer rows from their inner products alone (Cohen, Alg. 2.6.3),
+    as Fractions, given rows 0..k-1 of both:
+    mu_kj = (<b_k, b_j> - sum_{i<j} mu_ji mu_ki B_i) / B_j and
+    B_k = <b_k, b_k> - sum_{j<k} mu_kj^2 B_j; mu_kj stays 0 where B_j = 0."""
+    row = []
+    for j in range(k):
+        if norms[j]:
+            dot = sum(x * y for x, y in zip(b[k], b[j]))
+            row.append((dot - sum(mu[j][i] * row[i] * norms[i]
+                                  for i in range(j))) / norms[j])
+        else:
+            row.append(Fraction(0))
+    mu[k] = row
+    norms[k] = (Fraction(sum(x * x for x in b[k]))
+                - sum(m * m * n for m, n in zip(row, norms)))
 
 
 def lll_reduce(basis):
@@ -59,22 +61,22 @@ def lll_reduce(basis):
 
     Rows of unequal length and non-integral entries, infinities and NaN
     among them, raise ValueError.
-    Gram-Schmidt is computed at the start and after each swap only.  Size
-    reduction b_k -= r b_j (j < k) leaves every Gram-Schmidt vector and
-    norm unchanged and changes only row k of mu, by mu_k -= r mu_j with
-    mu_jj = 1, which is the update applied in place.
+    The loop keeps one invariant: the Gram-Schmidt rows below k are those
+    of the current basis.  Row k is computed each time the loop reaches
+    k, and a swap of rows k - 1 and k steps back to k - 1, so nothing is
+    ever recomputed for the whole basis.  Size reduction b_k -= r b_j
+    (j < k) leaves every Gram-Schmidt vector and norm unchanged and changes
+    only row k of mu, by mu_k -= r mu_j with mu_jj = 1, which is the
+    update applied in place.
     """
-    try:
-        b = [[int(x) for x in row] for row in basis]
-    except (OverflowError, ValueError):  # int() of an infinity or a NaN
-        raise ValueError("lll_reduce needs integer entries") from None
+    b = [[integral(x, "lll_reduce needs integer entries") for x in row]
+         for row in basis]
     if any(len(row) != len(b[0]) for row in b):
         raise ValueError("lll_reduce needs rows of equal length")
-    if b != [list(row) for row in basis]:
-        raise ValueError("lll_reduce needs integer entries")
-    mu, norms = _gram_schmidt(b)
-    k = 1
+    mu, norms = [None] * len(b), [None] * len(b)
+    k = 0
     while k < len(b):
+        _gram_schmidt_row(b, k, mu, norms)
         for j in range(k - 1, -1, -1):
             q = mu[k][j]
             if abs(q) > Fraction(1, 2):
@@ -83,12 +85,11 @@ def lll_reduce(basis):
                 for i in range(j):
                     mu[k][i] -= r * mu[j][i]
                 mu[k][j] -= r
-        if norms[k] >= (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if k == 0 or norms[k] >= (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = _gram_schmidt(b)
-            k = max(k - 1, 1)
+            k -= 1
     return b
 
 

@@ -1,5 +1,6 @@
-"""The fault raised when one of the toolkit's own invariants fails, and the
-base that keeps the value types immutable."""
+"""The fault raised when one of the toolkit's own invariants fails, the
+check that refuses non-integral integer arguments, and the base that keeps
+the value types immutable."""
 
 
 class InvariantError(RuntimeError):
@@ -15,6 +16,19 @@ def check(condition, message):
     """Raise InvariantError(message) unless ``condition`` holds."""
     if not condition:
         raise InvariantError(message)
+
+
+def integral(x, message, *args):
+    """int(x) when x equals it, else ValueError(message % args), formatted
+    only then: a non-integral value is refused rather than truncated,
+    infinities and NaN included."""
+    try:
+        n = int(x)
+    except (OverflowError, ValueError):  # int() of an infinity or a NaN
+        raise ValueError(message % args) from None
+    if n != x:
+        raise ValueError(message % args)
+    return n
 
 
 class _Immutable:

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import _Immutable, check
+from .errors import _Immutable, check, integral
 from .linalg import bareiss_det
 from .numerics import (DEFAULT_SEED, GUARD, monte_carlo, mzv_eval,
                        zeta_euler_maclaurin)
@@ -62,14 +62,15 @@ class Graph(_Immutable):
     __slots__ = ("n_vertices", "edges")
 
     def __init__(self, n_vertices, edges):
-        n = int(n_vertices)
+        n = integral(n_vertices, "need at least one vertex")
         if n < 1:
             raise ValueError("need at least one vertex")
         es = []
+        bad = "edge (%s,%s) leaves the vertex range 1..%d"
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = integral(u, bad, u, v, n), integral(v, bad, u, v, n)
             if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError("edge (%d,%d) leaves the vertex range 1..%d" % (u, v, n))
+                raise ValueError(bad % (u, v, n))
             if u == v:
                 raise ValueError("self-loop at vertex %d is not allowed" % u)
             es.append((min(u, v), max(u, v)))

@@ -31,7 +31,9 @@ lexicographically.
 
 from __future__ import annotations
 
-from .errors import _Immutable
+from .errors import _Immutable, integral
+
+_BAD_PART = "composition parts must be integers >= 1, got %r"
 
 
 class _Word(_Immutable):
@@ -80,10 +82,10 @@ class Composition(_Word):
     parts = _Word.letters  # the same slot, read-only under its own name
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(integral(p, _BAD_PART, p) for p in parts)
         for p in parts:
             if p < 1:
-                raise ValueError("composition parts must be integers >= 1, got %r" % (p,))
+                raise ValueError(_BAD_PART % (p,))
         super().__init__(parts)
 
     @property

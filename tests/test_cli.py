@@ -264,19 +264,35 @@ def test_precision_error_exits_one(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("argv", [("eval", "(2)"), ("detect", "(2)", "(3)")])
+@pytest.mark.parametrize("argv", [("eval", "(2)"), ("detect", "(2)", "(3)"),
+                                  ("eval-zeta", "2")])
 def test_digits_beyond_the_cap_exit_one_at_once(capsys, monkeypatch, argv):
-    # 10^5 digits of zeta(2) used to run for minutes; nothing is summed now
+    # 10^5 digits of zeta(2) used to run for minutes; nothing is summed now,
+    # which taking away the half-path cache and numerics' mpf would show
     monkeypatch.setattr(numerics, "_polylog_half", None)
+    monkeypatch.setattr(numerics, "mpf", None)
     code, out, err = run(capsys, *argv, "--digits", "100000")
     assert (code, out) == (1, "")
-    assert err == "error: digits must be between 1 and %d, got 100000\n" % numerics.MAX_DIGITS
+    cap = (numerics.MAX_EULER_MACLAURIN_DIGITS if argv[0] == "eval-zeta"
+           else numerics.MAX_DIGITS)
+    assert err == "error: digits must be between 1 and %d, got 100000\n" % cap
 
 
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_repeated_calls_build_the_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    assert run(capsys, "stuffle", "(2)", "(3)")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert run(capsys, "eval", "(2)", "--digits", "20")[1].startswith(
+        "zeta(2) = 1.64493406684822643")
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_missing_argument_exits_two():

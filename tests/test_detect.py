@@ -11,9 +11,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from mzvtools import BigReal, Composition, detect, lll_reduce, mzv_eval
+from mzvtools import (BigReal, Composition, decompose_in_hoffman_basis, detect,
+                      lll_reduce, mzv_eval)
 from mzvtools.cli import main
-from mzvtools.detect import _gram_schmidt
+from mzvtools.detect import _DELTA, _gram_schmidt_row
+from mzvtools.relations import is_hoffman
+from mzvtools.words import enumerate_compositions
 
 
 def norm2(v):
@@ -75,12 +78,11 @@ def gram_schmidt_by_vectors(basis):
     return mu, norms
 
 
-def test_gram_schmidt_from_inner_products_matches_the_vector_oracle():
-    """Seeded integer bases, two in three given an extra zero row or an extra
-    combination of two rows: mu and B agree exactly, as Fractions."""
-    rng = random.Random(12)
-    dependent = 0
-    for trial in range(450):
+def seeded_bases(seed, count):
+    """Seeded integer bases of 1 to 7 rows with entries up to 10^30, two in
+    three given an extra zero row or an extra combination of two rows."""
+    rng = random.Random(seed)
+    for trial in range(count):
         n, dim = rng.randint(1, 6), rng.randint(1, 7)
         span = rng.choice([2, 40, 10 ** 9, 10 ** 30])
         basis = [[rng.randint(-span, span) for _ in range(dim)]
@@ -92,18 +94,81 @@ def test_gram_schmidt_from_inner_products_matches_the_vector_oracle():
             a, b = rng.choice(basis), rng.choice(basis)
             basis.insert(rng.randrange(n + 1),
                          [s * x + t * y for x, y in zip(a, b)])
-        mu, norms = _gram_schmidt(basis)
-        assert (mu, norms) == gram_schmidt_by_vectors(basis)
+        yield basis
+
+
+def test_gram_schmidt_from_inner_products_matches_the_vector_oracle():
+    """The one-row step, run for every row in turn: mu and B agree exactly
+    with the vector oracle, as Fractions."""
+    dependent = 0
+    for basis in seeded_bases(12, 450):
+        mu, norms = [None] * len(basis), [None] * len(basis)
+        for k in range(len(basis)):
+            _gram_schmidt_row(basis, k, mu, norms)
+        oracle_mu, oracle_norms = gram_schmidt_by_vectors(basis)
+        assert mu == [row[:k] for k, row in enumerate(oracle_mu)]
+        assert norms == oracle_norms
         assert all(type(x) is Fraction for x in norms)
         assert all(type(x) is Fraction for row in mu for x in row)
         dependent += 0 in norms
     assert dependent >= 300
 
 
+def gram_schmidt_whole_basis(basis):
+    """Oracle: mu and B of every row at once, from the inner products."""
+    mu = [[Fraction(0)] * len(basis) for _ in basis]
+    norms = []
+    for i, row in enumerate(basis):
+        for j in range(i):
+            if norms[j]:
+                dot = sum(x * y for x, y in zip(row, basis[j]))
+                mu[i][j] = (dot - sum(mu[j][k] * mu[i][k] * norms[k]
+                                      for k in range(j))) / norms[j]
+        norms.append(Fraction(sum(x * x for x in row))
+                     - sum(mu[i][k] ** 2 * norms[k] for k in range(i)))
+    return mu, norms
+
+
+def lll_reduce_whole_basis(basis):
+    """Oracle: the textbook loop, which recomputes mu and B of the whole
+    basis after every swap and never steps below k = 1."""
+    b = [list(row) for row in basis]
+    mu, norms = gram_schmidt_whole_basis(b)
+    k = 1
+    while k < len(b):
+        for j in range(k - 1, -1, -1):
+            q = mu[k][j]
+            if abs(q) > Fraction(1, 2):
+                r = int(q + Fraction(1, 2)) if q > 0 else -int(-q + Fraction(1, 2))
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                for i in range(j):
+                    mu[k][i] -= r * mu[j][i]
+                mu[k][j] -= r
+        if norms[k] >= (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = gram_schmidt_whole_basis(b)
+            k = max(k - 1, 1)
+    return b
+
+
+def test_lll_reduce_matches_the_whole_basis_loop():
+    """Exact arithmetic gives the one-row loop every mu and B of the
+    whole-basis loop, so the reduced bases of 1 to 6 rows are identical,
+    dependent and zero rows included."""
+    bases = [basis for basis in seeded_bases(14, 150) if len(basis) <= 6]
+    for basis in bases:
+        assert lll_reduce(basis) == lll_reduce_whole_basis(basis)
+    dependent = sum(0 in gram_schmidt_whole_basis(basis)[1] for basis in bases)
+    assert len(bases) >= 120 and dependent >= len(bases) / 3
+
+
 @pytest.mark.parametrize("basis", [
     [[1, 2, 3], [4, 5]],       # a shorter later row
     [[1, 2], [3, 4, 5]],       # a longer later row
     [[1.5, 0], [0, 1]],        # a non-integral entry
+    [[Fraction(1, 2), 0], [0, 1]],
 ])
 def test_lll_reduce_rejects_ragged_or_non_integral_rows(basis):
     with pytest.raises(ValueError):
@@ -120,6 +185,7 @@ def test_lll_reduce_rejects_non_finite_entries(x):
 def test_lll_reduce_keeps_empty_and_one_row_bases():
     assert lll_reduce([]) == []
     assert lll_reduce([(3, -4)]) == [[3, -4]]
+    assert lll_reduce([(3.0, Fraction(-4))]) == [[3, -4]]
 
 
 def relation_lattice(scaled):
@@ -165,6 +231,21 @@ def test_lll_reduced_bases_are_frozen():
         "58afaf4f231895d26c22e05878d1e034e7904dcf38c49ac41de986dd3e9aba68")
     assert lll_reduce([[12, 1, 0], [13, 0, 1], [25, 1, 1]]) == [
         [0, 0, 0], [1, -1, 1], [8, 5, -4]]
+
+
+def test_weight_ten_decomposition_found_numerically():
+    """(1,9) against the seven weight-10 Hoffman words: the relation found
+    at 160 digits is the exact decomposition, of height about 6e10."""
+    target = Composition((1, 9))
+    basis = [c for c in enumerate_compositions(10) if is_hoffman(c)]
+    assert len(basis) == 7
+    result = detect([mzv_eval(c, 160) for c in [target] + basis], 160,
+                    height_bound=10 ** 13)
+    exact = decompose_in_hoffman_basis(target)
+    scale = result.coefficients[0]
+    assert [-Fraction(c, scale) for c in result.coefficients[1:]] == [
+        exact.coeff(c) for c in basis]
+    assert max(map(abs, result.coefficients)) > 10 ** 10
 
 
 def test_euler_relation_detected():

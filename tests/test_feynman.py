@@ -64,6 +64,13 @@ def test_disconnected_rejected():
 def test_vertex_out_of_range_rejected():
     with pytest.raises(ValueError):
         Graph(3, [(1, 2), (2, 5)])
+    # non-integral counts and ends used to be truncated: 3.7 vertices were 3
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        Graph(3.7, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=r"edge \(2,2.5\) leaves the vertex range"):
+        Graph(3, [(1, 2), (2, 2.5)])
+    graph = Graph(3.0, [(1.0, 2), (2, 3)])
+    assert (graph.n_vertices, graph.edges) == (3, ((1, 2), (2, 3)))
 
 
 # ---------------------------------------------------------- tree counting

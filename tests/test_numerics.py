@@ -12,7 +12,8 @@ from mzvtools import (BigReal, Composition, bernoulli, enumerate_compositions,
                       hypercube_zeta2, multiple_polylog, mzv_eval,
                       zeta_euler_maclaurin, zeta_even_closed_form)
 from mzvtools.numerics import (GUARD, MAX_DIGITS, _polylog_fixed, _polylog_raw,
-                               _scale_bits, _truncation_index, hypercube_integrand)
+                               _scale_bits, _truncation_index, hypercube_integrand,
+                               monte_carlo)
 
 
 # ---------------------------------------------------------------- BigReal
@@ -126,6 +127,11 @@ def test_euler_maclaurin_precision_scales():
 def test_euler_maclaurin_rejects_s_one():
     with pytest.raises(ValueError):
         zeta_euler_maclaurin(1, 20)
+    # a non-integral s used to be truncated: 2.5 gave zeta(2)
+    for s in [2.5, float("inf"), float("nan")]:
+        with pytest.raises(ValueError, match="need an integer s >= 2"):
+            zeta_euler_maclaurin(s, 10)
+    assert zeta_euler_maclaurin(2.0, 10).nstr() == zeta_euler_maclaurin(2, 10).nstr()
 
 
 # -------------------------------------------------------------- polylogs
@@ -168,7 +174,7 @@ def test_polylog_at_one_is_zeta():
 
 def test_polylog_validates_raw_tuples():
     # parts below 1 used to be summed as if they were exponents
-    for parts in [(-1, 2), (0, 2)]:
+    for parts in [(-1, 2), (0, 2), (2.5,)]:
         with pytest.raises(ValueError, match="parts must be integers >= 1"):
             multiple_polylog(parts, 0.5, 10)
     assert multiple_polylog((1, 2), 0.5, 20).nstr() == multiple_polylog(
@@ -367,6 +373,13 @@ def test_hypercube_is_deterministic():
     assert a.value == b.value and a.stderr == b.stderr
     assert a.value == pytest.approx(1.6474309090793844, abs=0)
     assert a.samples == 10 ** 5 and a.seed == 42
+
+
+@pytest.mark.parametrize("samples", [2.9, 1, float("inf"), float("nan")])
+def test_monte_carlo_refuses_a_bad_sample_count(samples):
+    # 2.9 samples used to be truncated to 2; nothing is sampled now
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        monte_carlo(None, 1, samples, 1)
 
 
 def test_hypercube_stderr_scales_like_sqrt_n():

@@ -33,6 +33,11 @@ def test_bad_parts_rejected():
         Composition((0, 2))
     with pytest.raises(ValueError):
         Composition((-1,))
+    # non-integral parts used to be truncated: (2.5, 3) was (2,3)
+    for parts in [(2.5, 3), (2, float("inf")), (float("nan"),)]:
+        with pytest.raises(ValueError, match="parts must be integers >= 1"):
+            Composition(parts)
+    assert Composition((2.0, 3)) == Composition((2, 3))
 
 
 def test_to_binary_examples():
