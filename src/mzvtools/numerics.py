@@ -3,9 +3,8 @@
 All routines take a requested precision ``digits`` (decimal) and work
 internally at ``digits + GUARD`` so that the reported digits are trusted;
 results come back as ``BigReal`` values that carry their precision.  More
-than MAX_DIGITS digits of a polylogarithm or multiple zeta value, or
-more than MAX_EULER_MACLAURIN_DIGITS of zeta(s) by Euler-Maclaurin, raise
-ValueError before any summation.  The multiple polylogarithms are summed
+than MAX_DIGITS digits, by any route, raise ValueError before any
+summation.  The multiple polylogarithms are summed
 in fixed point: Python ints scaled by 2^B, where every truncation is a
 floor with a stated error bound, converted to mpmath once at the end.
 The simple-zeta routes, pi and the elementary functions use mpmath's
@@ -26,7 +25,7 @@ summed as ints.
 Simple zeta values have two independent routes for cross-checking: the
 Euler-Maclaurin corrected partial sum (any integer s >= 2), and for even s
 the closed form (2 pi)^s |B_s| / (2 s!) from the Bernoulli numbers, which
-are generated exactly by their convolution recurrence.
+are generated exactly from the integer tangent numbers.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mp, mpf
 
-from .errors import _Immutable, integral
+from .errors import _Immutable, check, integral
 from .words import Composition, letters_to_parts
 
 GUARD = 10
@@ -47,10 +46,6 @@ GUARD = 10
 # zeta(3,9) takes about 2 s on a 2-vCPU host, and the time grows about
 # fourfold each time the digits double.
 MAX_DIGITS = 2000
-# The Euler-Maclaurin route of zeta(s) grows faster, about ninefold each
-# time the digits double: 1000 digits take about 3.5 s in a fresh process,
-# 2000 digits about 40 s.
-MAX_EULER_MACLAURIN_DIGITS = 1000
 DEFAULT_SEED = 42
 
 
@@ -99,29 +94,52 @@ class MonteCarloEstimate(NamedTuple):
     seed: int
 
 
-_BERNOULLI = [Fraction(1)]
+# The largest cutoff the Euler-Maclaurin route picks by default, at
+# MAX_DIGITS: it bounds an explicit cutoff and the Bernoulli index.
+_MAX_CUTOFF = max(12, MAX_DIGITS + GUARD)
+# B_0, B_2, ..., B_2(k-1) as far as any call has asked, and the row
+# [0, h_1, ..., h_(k-1)] of the tangent-number triangle behind the last.
+_BERNOULLI = [Fraction(1), Fraction(1, 6)]
+_TANGENT_ROW = [0, 1]
 
 
 def bernoulli(n):
     """The n-th Bernoulli number as an exact Fraction.
 
-    Multiplying the generating series by (e^t - 1) and matching
-    coefficients gives sum_{k=0}^{n} C(n+1, k) B_k = [n == 0], hence the
-    recurrence solved here.  Convention: B_1 = -1/2.
+    Convention: B_1 = -1/2; the other odd ones vanish.  The even ones come
+    from the tangent numbers T_k of tan x = sum_k T_k x^(2k-1) / (2k-1)!
+    as B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and the T_k from the
+    integer triangle of Brent and Harvey ("Fast computation of Bernoulli,
+    Tangent and Secant numbers", 2011) built one row at a time: row k is
+    h_i = (k-i) h'_i + (k-i+2) h_(i-1) for 1 <= i <= k from row k-1, with
+    h_0 = h'_k = 0, and T_k = h_k.  So the table grows to the largest index
+    asked for, at O(k) integer operations per number.  An index beyond the
+    largest Euler-Maclaurin cutoff, max(12, MAX_DIGITS + GUARD), which
+    bounds what any route can need, raises ValueError, as does a
+    non-integral one.
     """
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        acc = sum(math.comb(m + 1, k) * _BERNOULLI[k] for k in range(m))
-        _BERNOULLI.append(Fraction(-acc, m + 1))
-    return _BERNOULLI[n]
+    n = _integer_in(n, "index", 0, _MAX_CUTOFF)
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    for k in range(len(_BERNOULLI), n // 2 + 1):
+        row = _TANGENT_ROW + [0]
+        for i in range(1, k + 1):
+            row[i] = (k - i) * row[i] + (k - i + 2) * row[i - 1]
+        _BERNOULLI.append(Fraction(2 * k * row[k], (-4) ** k * (1 - 4 ** k)))
+        _TANGENT_ROW[:] = row  # after the slow Fraction, so the two stay in step
+    return _BERNOULLI[n // 2]
 
 
 def zeta_even_closed_form(s, digits):
-    """zeta(s) for even s >= 2 via (2 pi)^s |B_s| / (2 s!)."""
+    """zeta(s) for even s >= 2 via (2 pi)^s |B_s| / (2 s!).
+
+    s is bounded as the index of ``bernoulli``, and more than MAX_DIGITS
+    digits raise ValueError before any work.
+    """
+    s = integral(s, "closed form needs an even integer s >= 2")
     if s < 2 or s % 2:
         raise ValueError("closed form needs an even integer s >= 2")
+    digits = _integer_in(digits, "digits", 1, MAX_DIGITS)
     b = bernoulli(s)
     with mp.workdps(digits + GUARD):
         value = ((2 * mp.pi) ** s * abs(mpf(b.numerator)) / b.denominator
@@ -137,51 +155,55 @@ def zeta_euler_maclaurin(s, digits, cutoff=None, correction_terms=None):
         sum_{k<=n} k^-s + n^(1-s)/(s-1) - n^-s/2
         + sum_j B_{2j}/(2j)! * (s)(s+1)...(s+2j-2) * n^(-s-2j+1).
 
-    By default the cutoff and the number of correction terms are chosen so
-    the first omitted term is below 10^-(digits+guard).  Passing ``cutoff``
-    and ``correction_terms`` explicitly returns that specific truncation
-    with no accuracy promise (the corrections are even-indexed Bernoulli
-    terms: correction_terms=4 means through the B_8, n^(-s-7) term).
-    More than MAX_EULER_MACLAURIN_DIGITS digits raise ValueError before any
-    summation, and so does a non-integral s.
+    By default n = max(12, digits + GUARD), and correction terms are added
+    until the first one below 10^-(digits+GUARD), which is left out.  For
+    any n >= digits + GUARD that term comes at some 2j < n: since
+    |B_2j|/(2j)! = 2 zeta(2j)/(2 pi)^(2j), the terms shrink by about
+    ((s+2j)/(2 pi n))^2 per step, and some term with 2j < n is below 10^-n
+    for every s >= 2 (checked for every n from 11 to the largest cutoff;
+    s = 2 is the worst case).  The sum stops at 2j = n, and a term still
+    above the target there raises InvariantError.
+
+    An explicit ``cutoff`` is used as given, from digits + GUARD up to the
+    largest default, max(12, MAX_DIGITS + GUARD), or from 1 when
+    ``correction_terms`` is also given.  Then exactly that many terms are
+    added (correction_terms=4 means through the B_8, n^(-s-7) term), at
+    most half the largest cutoff, with no accuracy promise.  Other values,
+    non-integral ones, a non-integral s and more than MAX_DIGITS digits
+    raise ValueError before any summation.
     """
     s = integral(s, "need an integer s >= 2")
     if s < 2:
         raise ValueError("need an integer s >= 2")
-    _check_digits(digits, MAX_EULER_MACLAURIN_DIGITS)
+    digits = _integer_in(digits, "digits", 1, MAX_DIGITS)
     target = digits + GUARD
-    n = cutoff if cutoff is not None else max(12, target)
+    n = (max(12, target) if cutoff is None else _integer_in(
+        cutoff, "cutoff", target if correction_terms is None else 1, _MAX_CUTOFF))
+    terms = (n // 2 if correction_terms is None else
+             _integer_in(correction_terms, "correction_terms", 0, _MAX_CUTOFF // 2))
     with mp.workdps(target + 10):
         eps = mpf(10) ** (-target)
-        while True:
-            partial = sum(mpf(k) ** (-s) for k in range(1, n + 1))
-            value = partial + mpf(n) ** (1 - s) / (s - 1) - mpf(n) ** (-s) / 2
-            ok = True
-            prev_mag = mp.inf
-            j = 1
-            while True:
-                if correction_terms is not None and j > correction_terms:
-                    break
-                b = bernoulli(2 * j)
-                rising = 1
-                for i in range(2 * j - 1):
-                    rising *= s + i
-                term = (mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
-                        * rising * mpf(n) ** (-s - 2 * j + 1))
-                mag = abs(term)
-                if correction_terms is None:
-                    if mag < eps:
-                        break
-                    if mag >= prev_mag:
-                        ok = False  # divergent tail reached before the target
-                        break
-                value += term
-                prev_mag = mag
-                j += 1
-            if ok or correction_terms is not None:
+        partial = sum(mpf(k) ** (-s) for k in range(1, n + 1))
+        value = partial + mpf(n) ** (1 - s) / (s - 1) - mpf(n) ** (-s) / 2
+        rising = s  # (s)(s+1)...(s+2j-2)
+        for j in range(1, terms + 1):
+            b = bernoulli(2 * j)
+            term = (mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
+                    * rising * mpf(n) ** (-s - 2 * j + 1))
+            if correction_terms is None and abs(term) < eps:
                 break
-            n *= 2
+            value += term
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+        else:
+            check(correction_terms is not None, "Euler-Maclaurin terms for "
+                  "zeta(%d) at n = %d stayed above 10^-%d" % (s, n, target))
     return BigReal(value, digits)
+
+
+# A polylogarithm series that needs more terms than this is refused rather
+# than summed: at z = 1 the series converges polynomially (zeta(2) to d
+# digits needs about 10^d terms), and just below 1 geometrically but slowly.
+_MAX_TERMS = 10 ** 7
 
 
 def _truncation_index(parts, z, dps):
@@ -189,8 +211,8 @@ def _truncation_index(parts, z, dps):
 
     The inner sums are bounded by k^(depth-1), so for z < 1 the tail after N
     is at most (N+1)^(r-1) z^(N+1) (r-1)! / (1-z)^r; for z = 1 (convergent
-    words only) it is at most N^(r-w) / (w-r), which converges so slowly
-    that a hard cap guards against infeasible requests.
+    words only) it is at most N^(r-w) / (w-r).  More than _MAX_TERMS terms
+    raise ValueError before any summation.
     """
     r = len(parts)
     if z == 1:
@@ -198,22 +220,23 @@ def _truncation_index(parts, z, dps):
         # Guard digits exist for round-off, not truncation: aiming the tail
         # at the padded precision would cost 10^GUARD times more terms, so
         # target the delivered digits plus a small slack instead.
-        target = dps - GUARD + 2
-        log_n = (target - math.log10(w - r)) / (w - r)
-        if log_n > 7:
-            raise ValueError("z=1 converges polynomially; %d digits would need "
-                             "about 10^%.1f terms" % (dps - GUARD, log_n))
-        return int(10 ** log_n) + 2
-    log_z = math.log10(float(z))
-    log_fact = math.log10(math.factorial(r - 1)) if r > 1 else 0.0
-    log_1mz = math.log10(1.0 - float(z))
-
-    def log_bound(n):
-        return (r - 1) * math.log10(n + 1) + (n + 1) * log_z + log_fact - r * log_1mz
-
-    n = max(8, int(dps / -log_z) + 4)
-    while log_bound(n) > -(dps + 1):
-        n += max(4, n // 8)
+        log_n = (dps - GUARD + 2 - math.log10(w - r)) / (w - r)
+        n = int(10 ** min(log_n, 8)) + 2  # min: past the cap, short of overflow
+    else:
+        p, q = z.numerator, z.denominator
+        # -log10(z) from the ints, and near 1 from 1 - z = (q-p)/q: float(z)
+        # rounds to 1 there
+        decay = (math.log10(q) - math.log10(p) if 2 * p <= q
+                 else -math.log1p((p - q) / q) / math.log(10))
+        log_fact = math.log10(math.factorial(r - 1))
+        log_1mz = math.log10(q - p) - math.log10(q)
+        n = max(8, int(dps / decay) + 4) if decay * _MAX_TERMS > dps else _MAX_TERMS + 1
+        while n <= _MAX_TERMS and ((r - 1) * math.log10(n + 1) - (n + 1) * decay
+                                   + log_fact - r * log_1mz > -(dps + 1)):
+            n += max(4, n // 8)
+    if n > _MAX_TERMS:
+        raise ValueError("%d digits of a polylogarithm at z = %s would need more than "
+                         "%d terms" % (dps - GUARD, z, _MAX_TERMS))
     return n
 
 
@@ -289,10 +312,13 @@ def _polylog_half(parts, dps):
     return _polylog_raw(parts, Fraction(1, 2), dps)
 
 
-def _check_digits(digits, cap=MAX_DIGITS):
-    if not 1 <= digits <= cap:
-        raise ValueError("digits must be between 1 and %d, got %d"
-                         % (cap, digits))
+def _integer_in(x, name, lo, hi):
+    """int(x) when x is an integer from lo to hi, else ValueError."""
+    message = "%s must be an integer between %d and %d, got %s"
+    n = integral(x, message, name, lo, hi, x)
+    if not lo <= n <= hi:
+        raise ValueError(message % (name, lo, hi, x))
+    return n
 
 
 def multiple_polylog(comp, z, digits):
@@ -310,7 +336,7 @@ def multiple_polylog(comp, z, digits):
         raise ValueError("z must satisfy 0 < z <= 1, got %s" % (z,))
     if zq == 1 and not comp.is_convergent:
         raise ValueError("the series diverges at z = 1 for %s" % (comp,))
-    _check_digits(digits)
+    digits = _integer_in(digits, "digits", 1, MAX_DIGITS)
     dps = digits + GUARD
     # mpf reads an (int, exponent) pair exactly and rounds it once
     return BigReal((_polylog_raw(comp.parts, zq, dps), -_scale_bits(dps)), digits)
@@ -331,7 +357,7 @@ def mzv_eval(comp, digits):
     comp = comp if isinstance(comp, Composition) else Composition(comp)
     if not comp.is_convergent:
         raise ValueError("%s diverges; regularize before evaluating" % (comp,))
-    _check_digits(digits)
+    digits = _integer_in(digits, "digits", 1, MAX_DIGITS)
     dps = digits + GUARD
     letters = comp.to_binary().letters
     total = 0

@@ -273,9 +273,8 @@ def test_digits_beyond_the_cap_exit_one_at_once(capsys, monkeypatch, argv):
     monkeypatch.setattr(numerics, "mpf", None)
     code, out, err = run(capsys, *argv, "--digits", "100000")
     assert (code, out) == (1, "")
-    cap = (numerics.MAX_EULER_MACLAURIN_DIGITS if argv[0] == "eval-zeta"
-           else numerics.MAX_DIGITS)
-    assert err == "error: digits must be between 1 and %d, got 100000\n" % cap
+    assert err == ("error: digits must be an integer between 1 and %d, got 100000\n"
+                   % numerics.MAX_DIGITS)
 
 
 def test_usage_error_exits_two():

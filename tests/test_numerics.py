@@ -3,6 +3,8 @@ polylogarithms, the path-splitting MZV evaluator, and the hypercube
 Monte-Carlo check.  Cross-checks pit independent algorithms against each
 other rather than trusting any single route."""
 
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,10 +12,14 @@ from mpmath import mp, mpf, pi, zeta as mp_zeta
 
 from mzvtools import (BigReal, Composition, bernoulli, enumerate_compositions,
                       hypercube_zeta2, multiple_polylog, mzv_eval,
-                      zeta_euler_maclaurin, zeta_even_closed_form)
+                      numerics, zeta_euler_maclaurin, zeta_even_closed_form)
+from mzvtools.errors import InvariantError
 from mzvtools.numerics import (GUARD, MAX_DIGITS, _polylog_fixed, _polylog_raw,
                                _scale_bits, _truncation_index, hypercube_integrand,
                                monte_carlo)
+
+# The largest Euler-Maclaurin cutoff, which bounds the Bernoulli index too
+LARGEST_CUTOFF = max(12, MAX_DIGITS + GUARD)
 
 
 # ---------------------------------------------------------------- BigReal
@@ -55,10 +61,34 @@ def bernoulli_oracle(n_max):
     return [inv[k] * fact[k] for k in range(n_max + 1)]
 
 
+def bernoulli_recurrence(n_max):
+    """B_0..B_n_max from sum_{k=0}^{n} C(n+1, k) B_k = [n == 0], which
+    multiplying the generating series by (e^t - 1) gives."""
+    b = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        b.append(Fraction(-sum(math.comb(m + 1, k) * b[k] for k in range(m)), m + 1))
+    return b
+
+
 def test_bernoulli_against_series_division():
     oracle = bernoulli_oracle(20)
     for n in range(21):
         assert bernoulli(n) == oracle[n], n
+
+
+def test_bernoulli_against_the_recurrence():
+    oracle = bernoulli_recurrence(300)
+    assert [bernoulli(n) for n in range(301)] == oracle
+
+
+def test_bernoulli_refuses_bad_indices():
+    # no route needs an index past the largest Euler-Maclaurin cutoff
+    assert bernoulli(2.0) == Fraction(1, 6)
+    assert bernoulli(LARGEST_CUTOFF).denominator > 1
+    for n in [-1, 2.5, float("inf"), float("nan"), LARGEST_CUTOFF + 1, LARGEST_CUTOFF + 2]:
+        with pytest.raises(ValueError, match="index must be an integer between 0 and %d"
+                           % LARGEST_CUTOFF):
+            bernoulli(n)
 
 
 def test_bernoulli_known_values():
@@ -88,6 +118,10 @@ def test_even_zeta_rejects_odd_or_zero():
         zeta_even_closed_form(3, 20)
     with pytest.raises(ValueError):
         zeta_even_closed_form(0, 20)
+    # a float s used to fail as a list index
+    with pytest.raises(ValueError, match="even integer"):
+        zeta_even_closed_form(4.5, 20)
+    assert zeta_even_closed_form(4.0, 20).nstr() == zeta_even_closed_form(4, 20).nstr()
 
 
 # ---------------------------------------------------------- Euler-Maclaurin
@@ -122,6 +156,48 @@ def test_euler_maclaurin_precision_scales():
     hi = zeta_euler_maclaurin(3, 40)
     with mp.workdps(50):
         assert abs(lo.value - hi.value) < mpf(10) ** -19
+
+
+@pytest.mark.parametrize("cutoff,terms,bad", [
+    (5, None, ("cutoff", 30 + GUARD, LARGEST_CUTOFF, 5)),
+    (0, 4, ("cutoff", 1, LARGEST_CUTOFF, 0)),
+    (-3, 4, ("cutoff", 1, LARGEST_CUTOFF, -3)),
+    (10 ** 6, 4, ("cutoff", 1, LARGEST_CUTOFF, 10 ** 6)),
+    (100.5, 4, ("cutoff", 1, LARGEST_CUTOFF, 100.5)),
+    (100, -1, ("correction_terms", 0, LARGEST_CUTOFF // 2, -1)),
+    (100, LARGEST_CUTOFF // 2 + 1, ("correction_terms", 0, LARGEST_CUTOFF // 2,
+                                    LARGEST_CUTOFF // 2 + 1)),
+    (100, 4.5, ("correction_terms", 0, LARGEST_CUTOFF // 2, 4.5)),
+])
+def test_euler_maclaurin_refuses_rather_than_changes_a_truncation(monkeypatch, cutoff,
+                                                                  terms, bad):
+    # cutoff 5 alone used to be doubled until it worked, cutoff 0 divided
+    # by zero, -3 returned -0.395 and 10^6 summed for 9 s; nothing is
+    # summed now, which taking away numerics' mpf would show
+    monkeypatch.setattr(numerics, "mpf", None)
+    message = "%s must be an integer between %d and %d, got %s" % bad
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        zeta_euler_maclaurin(2, 30, cutoff=cutoff, correction_terms=terms)
+
+
+def test_euler_maclaurin_honours_an_explicit_truncation():
+    # cutoff 40 is the smallest one 30 digits allow without correction_terms
+    assert (zeta_euler_maclaurin(2, 30, cutoff=40).nstr()
+            == zeta_euler_maclaurin(2, 30).nstr())
+    with mp.workdps(40):
+        n = 12
+        plain = (sum(mpf(k) ** -2 for k in range(1, n + 1)) + mpf(1) / n
+                 - mpf(1) / (2 * n ** 2))
+        got = zeta_euler_maclaurin(2, 30, cutoff=n, correction_terms=0).value
+        assert abs(got - plain) < mpf(10) ** -30
+
+
+def test_euler_maclaurin_faults_past_its_termination_bound(monkeypatch):
+    # corrections that never fall below the target by 2j = n are a fault,
+    # not a reason to sum on or to double the cutoff
+    monkeypatch.setattr(numerics, "bernoulli", lambda n: Fraction(10 ** 60))
+    with pytest.raises(InvariantError, match=r"at n = 40 stayed above 10\^-40"):
+        zeta_euler_maclaurin(2, 30)
 
 
 def test_euler_maclaurin_rejects_s_one():
@@ -204,6 +280,11 @@ def test_polylog_z_one_precision_cap():
     # polynomial convergence at z=1 makes 40 digits of zeta(2) infeasible
     with pytest.raises(ValueError):
         multiple_polylog(Composition((2,)), 1, 40)
+    # just below 1 the series converges too slowly as well: these asked for
+    # 8.7e7 and 9.8e10 terms, and the last failed in a float logarithm
+    for z in [1 - Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 9), 1 - Fraction(1, 2 ** 60)]:
+        with pytest.raises(ValueError, match="would need more than 10000000 terms"):
+            multiple_polylog(Composition((2,)), z, 30)
 
 
 # --------------------------------------------- fixed-point polylog kernel
@@ -289,11 +370,20 @@ def test_kernel_matches_the_mpf_oracle_off_one_half(z, n, bound):
 
 def test_precision_beyond_the_cap_fails_before_summing():
     for evaluate in (lambda d: mzv_eval((2,), d),
-                     lambda d: multiple_polylog((2,), HALF, d)):
-        with pytest.raises(ValueError, match="digits must be between 1 and %d" % MAX_DIGITS):
+                     lambda d: multiple_polylog((2,), HALF, d),
+                     lambda d: zeta_euler_maclaurin(3, d),
+                     lambda d: zeta_even_closed_form(4, d)):
+        with pytest.raises(ValueError, match="digits must be an integer between 1 and %d"
+                           % MAX_DIGITS):
             evaluate(MAX_DIGITS + 1)
-        with pytest.raises(ValueError, match="digits must be between"):
-            evaluate(0)
+        for digits in (0, 20.5):
+            with pytest.raises(ValueError, match="digits must be an integer between"):
+                evaluate(digits)
+
+
+def test_euler_maclaurin_at_the_cap_matches_the_polylog_route():
+    assert (zeta_euler_maclaurin(3, MAX_DIGITS).nstr()
+            == mzv_eval((3,), MAX_DIGITS).nstr())
 
 
 def test_mzv_empty_word_is_one():
