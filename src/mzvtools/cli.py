@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -29,6 +28,7 @@ from . import __version__
 from .algebra import shuffle, stuffle
 from .detect import detect
 from .dims import count_f_monomials, count_hoffman_words, dimension
+from .errors import integer_in
 from .feynman import (Graph, check_match_weight, is_primitive_log_divergent,
                       kirchhoff_polynomial, match_period, period_monte_carlo)
 from .lincomb import LinComb
@@ -172,10 +172,8 @@ def _dispatch(args):
 
     if cmd == "dims":
         if args.table is not None:
-            if args.table < 0:
-                raise ValueError("--table must be >= 0, got %d" % args.table)
             rows = []
-            for n in range(args.table + 1):
+            for n in range(integer_in(args.table, "--table", 0) + 1):
                 rows.append({"weight": n, "d": dimension(n),
                              "words": 2 ** (n - 2) if n >= 2 else (1 if n == 0 else 0),
                              "hoffman": count_hoffman_words(n),
@@ -187,8 +185,6 @@ def _dispatch(args):
                                 r["f_monomials"]))
             return {"table": rows}, lines, None, None
         # fail on a bad N before any table is built, not hours into the run
-        if args.max < 2:
-            raise ValueError("--max must be >= 2, got %d" % args.max)
         check_weight(args.max, DEFAULT_MAX_WEIGHT)
         rows = []
         lines = ["weight  2^(n-2)  rank  bound  d_n"]
@@ -245,14 +241,10 @@ def _dispatch(args):
             return ({"graph": str(graph), "primitive_log_divergent": flag},
                     ["%s: %s" % (graph, "primitive log-divergent" if flag
                                  else "not primitive log-divergent")], None, None)
-        samples = float(args.samples)
-        if not math.isfinite(samples):
-            raise ValueError("--samples must be a finite count, got %r" % (args.samples,))
-        if not samples.is_integer():
-            raise ValueError("--samples must be a whole count, got %r" % (args.samples,))
         if args.match_weight is not None:
             check_match_weight(args.match_weight)
-        est = period_monte_carlo(graph, int(samples), args.seed)
+        # through float, so that 1e7 parses; period_monte_carlo checks it
+        est = period_monte_carlo(graph, float(args.samples), args.seed)
         obj = {"graph": str(graph), "estimate": est.value, "stderr": est.stderr,
                "samples": est.samples, "seed": est.seed}
         lines = ["period estimate %.8f +- %.8f  (%d samples, seed %d)"

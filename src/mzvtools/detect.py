@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .errors import integral
+from .errors import integer_in
 from .numerics import GUARD, BigReal
 
 SLACK = 5
@@ -69,8 +69,7 @@ def lll_reduce(basis):
     only row k of mu, by mu_k -= r mu_j with mu_jj = 1, which is the
     update applied in place.
     """
-    b = [[integral(x, "lll_reduce needs integer entries") for x in row]
-         for row in basis]
+    b = [[integer_in(x, "lll_reduce entry") for x in row] for row in basis]
     if any(len(row) != len(b[0]) for row in b):
         raise ValueError("lll_reduce needs rows of equal length")
     mu, norms = [None] * len(b), [None] * len(b)
@@ -146,15 +145,15 @@ def detect(xs, digits=None, height_bound=10 ** 6):
     working precision); ``digits`` defaults to the smallest precision among
     the inputs.  Needs digits >= 20 + log10(height_bound) * len(xs), else
     the lattice cannot separate true relations from noise and a ValueError
-    is raised, as it is for a height bound below 1.
+    is raised, as it is for non-integral digits or height bound and for a
+    height bound below 1.
     """
     if not 2 <= len(xs) <= 50:
         raise ValueError("detect needs between 2 and 50 values")
-    if height_bound < 1:
-        raise ValueError("height_bound must be >= 1, got %s" % (height_bound,))
+    height_bound = integer_in(height_bound, "height_bound", 1)
     m = len(xs)
     values, precisions = zip(*map(_as_mpf, xs))
-    digits = digits if digits is not None else min(precisions)
+    digits = integer_in(min(precisions) if digits is None else digits, "digits", 1)
     needed = 20 + math.log10(height_bound) * m
     if digits < needed:
         raise ValueError("%d digits is too low: need at least %d for %d values "

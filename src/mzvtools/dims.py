@@ -19,11 +19,12 @@ The growth rate d_{n+1}/d_n tends to the real root of X^3 - X - 1
 
 from __future__ import annotations
 
+from .errors import integer_in
+
 
 def dimension(n):
     """d_n from the recurrence d_n = d_{n-2} + d_{n-3}."""
-    if n < 0:
-        raise ValueError("weight must be >= 0")
+    n = integer_in(n, "weight", 0)
     d = [1, 0, 1]
     while len(d) <= n:
         d.append(d[-2] + d[-3])
@@ -32,8 +33,7 @@ def dimension(n):
 
 def count_hoffman_words(n):
     """Number of compositions of n with every part in {2, 3}."""
-    if n < 0:
-        raise ValueError("weight must be >= 0")
+    n = integer_in(n, "weight", 0)
     counts = [0] * (n + 1)
     counts[0] = 1
     for total in range(1, n + 1):
@@ -50,8 +50,7 @@ def count_f_monomials(n):
     Counted as the t^n coefficient of 1/(1-t^2) * 1/(1-(t^3+t^5+...)),
     expanded with exact integer arithmetic.
     """
-    if n < 0:
-        raise ValueError("weight must be >= 0")
+    n = integer_in(n, "weight", 0)
     # words in the odd letters: w = 1 + (t^3 + t^5 + ...) * w
     odd_words = [0] * (n + 1)
     odd_words[0] = 1

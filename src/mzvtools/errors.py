@@ -1,6 +1,6 @@
-"""The fault raised when one of the toolkit's own invariants fails, the
-check that refuses non-integral integer arguments, and the base that keeps
-the value types immutable."""
+"""The fault raised when one of the toolkit's own invariants fails, the one
+check of every integer argument, and the base that keeps the value types
+immutable."""
 
 
 class InvariantError(RuntimeError):
@@ -18,16 +18,19 @@ def check(condition, message):
         raise InvariantError(message)
 
 
-def integral(x, message, *args):
-    """int(x) when x equals it, else ValueError(message % args), formatted
-    only then: a non-integral value is refused rather than truncated,
-    infinities and NaN included."""
+def integer_in(x, name, lo=None, hi=None):
+    """int(x) when x is an integer of at least lo and at most hi, where
+    given (hi only with lo), else ValueError naming the argument, formatted
+    only then: a non-integral value is refused rather than truncated, and so
+    are infinities, NaN and non-numbers."""
     try:
         n = int(x)
-    except (OverflowError, ValueError):  # int() of an infinity or a NaN
-        raise ValueError(message % args) from None
-    if n != x:
-        raise ValueError(message % args)
+    except (TypeError, ValueError, OverflowError):  # int() of inf, NaN, None
+        n = None
+    if n is None or n != x or lo is not None and n < lo or hi is not None and n > hi:
+        bounds = ("" if lo is None else " >= %d" % lo if hi is None
+                  else " between %d and %d" % (lo, hi))
+        raise ValueError("%s must be an integer%s, got %s" % (name, bounds, x))
     return n
 
 

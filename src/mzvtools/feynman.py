@@ -33,11 +33,12 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import getitem
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import _Immutable, check, integral
+from .errors import _Immutable, check, integer_in
 from .linalg import bareiss_det
 from .numerics import (DEFAULT_SEED, GUARD, monte_carlo, mzv_eval,
                        zeta_euler_maclaurin)
@@ -62,15 +63,10 @@ class Graph(_Immutable):
     __slots__ = ("n_vertices", "edges")
 
     def __init__(self, n_vertices, edges):
-        n = integral(n_vertices, "need at least one vertex")
-        if n < 1:
-            raise ValueError("need at least one vertex")
+        n = integer_in(n_vertices, "vertex count", 1)
         es = []
-        bad = "edge (%s,%s) leaves the vertex range 1..%d"
         for u, v in edges:
-            u, v = integral(u, bad, u, v, n), integral(v, bad, u, v, n)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(bad % (u, v, n))
+            u, v = integer_in(u, "edge end", 1, n), integer_in(v, "edge end", 1, n)
             if u == v:
                 raise ValueError("self-loop at vertex %d is not allowed" % u)
             es.append((min(u, v), max(u, v)))
@@ -231,8 +227,14 @@ def kirchhoff_polynomial(graph):
                     list(zip(_ends(graph.edges), range(graph.n_edges))), 0, trees)
     check(len(trees) == count,
           "deletion-contraction disagrees with the matrix-tree count")
-    ids = range(graph.n_edges)
-    return GraphPolynomial([i for i in ids if not t >> i & 1] for t in trees)
+    # each complement from the set bits of all-edges XOR tree, a byte at a
+    # time: table c lists the edge ids of every byte value at bits 8c..8c+7
+    tables = [[tuple(8 * c + i for i in range(8) if b >> i & 1) for b in range(256)]
+              for c in range((graph.n_edges + 7) // 8)]
+    full = (1 << graph.n_edges) - 1
+    return GraphPolynomial(
+        sum(map(getitem, tables, (full ^ t).to_bytes(len(tables), "little")), ())
+        for t in trees)
 
 
 def is_primitive_log_divergent(graph):
@@ -268,8 +270,10 @@ def period_monte_carlo(graph, samples, seed=DEFAULT_SEED):
 
     Chart: the last edge variable is set to 1; the others map to u/(1-u)
     over the unit cube, sampled in batches by ``numerics.monte_carlo``, so
-    the estimate depends only on (samples, seed), not on scheduling.
+    the estimate depends only on (samples, seed), not on scheduling.  Both
+    are checked before the primitivity scan.
     """
+    samples, seed = integer_in(samples, "samples", 2), integer_in(seed, "seed", 0)
     if not is_primitive_log_divergent(graph):
         raise ValueError("%s is not primitive log-divergent; the period "
                          "integral does not converge" % (graph,))
@@ -351,9 +355,9 @@ class PeriodMatch(NamedTuple):
 
 
 def check_match_weight(weight):
-    """Raise ValueError unless 2 <= weight <= MAX_MATCH_WEIGHT."""
-    if not 2 <= weight <= MAX_MATCH_WEIGHT:
-        raise ValueError("weight must be between 2 and %d" % MAX_MATCH_WEIGHT)
+    """The weight as an int; ValueError unless it is an integer from 2 to
+    MAX_MATCH_WEIGHT."""
+    return integer_in(weight, "weight", 2, MAX_MATCH_WEIGHT)
 
 
 def match_period(estimate, error, weight):
@@ -371,7 +375,7 @@ def match_period(estimate, error, weight):
     if not (math.isfinite(error) and error >= 0):
         raise ValueError("error must be finite and >= 0, got %r" % (error,))
     error = max(error, math.ulp(estimate))
-    check_match_weight(weight)
+    weight = check_match_weight(weight)
     matches = []
     for label, value in period_candidates(weight):
         v = float(value)

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mp, mpf
 
-from .errors import _Immutable, check, integral
+from .errors import _Immutable, check, integer_in
 from .words import Composition, letters_to_parts
 
 GUARD = 10
@@ -59,9 +59,7 @@ class BigReal(_Immutable):
     __slots__ = ("value", "digits")
 
     def __init__(self, value, digits):
-        digits = int(digits)
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
+        digits = integer_in(digits, "digits", 1)
         if isinstance(value, Fraction):
             with mp.workdps(digits):
                 value = mpf(value.numerator) / value.denominator
@@ -118,7 +116,7 @@ def bernoulli(n):
     bounds what any route can need, raises ValueError, as does a
     non-integral one.
     """
-    n = _integer_in(n, "index", 0, _MAX_CUTOFF)
+    n = integer_in(n, "index", 0, _MAX_CUTOFF)
     if n % 2:
         return Fraction(-1, 2) if n == 1 else Fraction(0)
     for k in range(len(_BERNOULLI), n // 2 + 1):
@@ -136,10 +134,10 @@ def zeta_even_closed_form(s, digits):
     s is bounded as the index of ``bernoulli``, and more than MAX_DIGITS
     digits raise ValueError before any work.
     """
-    s = integral(s, "closed form needs an even integer s >= 2")
-    if s < 2 or s % 2:
+    s = integer_in(s, "s", 2)
+    if s % 2:
         raise ValueError("closed form needs an even integer s >= 2")
-    digits = _integer_in(digits, "digits", 1, MAX_DIGITS)
+    digits = integer_in(digits, "digits", 1, MAX_DIGITS)
     b = bernoulli(s)
     with mp.workdps(digits + GUARD):
         value = ((2 * mp.pi) ** s * abs(mpf(b.numerator)) / b.denominator
@@ -172,15 +170,13 @@ def zeta_euler_maclaurin(s, digits, cutoff=None, correction_terms=None):
     non-integral ones, a non-integral s and more than MAX_DIGITS digits
     raise ValueError before any summation.
     """
-    s = integral(s, "need an integer s >= 2")
-    if s < 2:
-        raise ValueError("need an integer s >= 2")
-    digits = _integer_in(digits, "digits", 1, MAX_DIGITS)
+    s = integer_in(s, "s", 2)
+    digits = integer_in(digits, "digits", 1, MAX_DIGITS)
     target = digits + GUARD
-    n = (max(12, target) if cutoff is None else _integer_in(
+    n = (max(12, target) if cutoff is None else integer_in(
         cutoff, "cutoff", target if correction_terms is None else 1, _MAX_CUTOFF))
     terms = (n // 2 if correction_terms is None else
-             _integer_in(correction_terms, "correction_terms", 0, _MAX_CUTOFF // 2))
+             integer_in(correction_terms, "correction_terms", 0, _MAX_CUTOFF // 2))
     with mp.workdps(target + 10):
         eps = mpf(10) ** (-target)
         partial = sum(mpf(k) ** (-s) for k in range(1, n + 1))
@@ -235,8 +231,8 @@ def _truncation_index(parts, z, dps):
                                    + log_fact - r * log_1mz > -(dps + 1)):
             n += max(4, n // 8)
     if n > _MAX_TERMS:
-        raise ValueError("%d digits of a polylogarithm at z = %s would need more than "
-                         "%d terms" % (dps - GUARD, z, _MAX_TERMS))
+        raise ValueError("%d decimal places of a polylogarithm at z = %s would need "
+                         "more than %d terms" % (dps - GUARD, z, _MAX_TERMS))
     return n
 
 
@@ -312,23 +308,14 @@ def _polylog_half(parts, dps):
     return _polylog_raw(parts, Fraction(1, 2), dps)
 
 
-def _integer_in(x, name, lo, hi):
-    """int(x) when x is an integer from lo to hi, else ValueError."""
-    message = "%s must be an integer between %d and %d, got %s"
-    n = integral(x, message, name, lo, hi, x)
-    if not lo <= n <= hi:
-        raise ValueError(message % (name, lo, hi, x))
-    return n
-
-
 def multiple_polylog(comp, z, digits):
     """The one-variable multiple polylogarithm sum_{k1<...<kr} z^{kr} / prod ki^{ni}.
 
     ``z`` may be a Fraction, int or float with 0 < z < 1, or exactly 1 when
     the composition is convergent.  Divergent compositions (last part 1)
-    are fine for z < 1, where convergence is geometric.  A raw tuple goes
-    through ``Composition``, so parts below 1 raise ValueError, as do more
-    than MAX_DIGITS digits.
+    are fine for z < 1, where convergence is geometric.  The digits are
+    relative, also for small z.  A raw tuple goes through ``Composition``,
+    so parts below 1 raise ValueError, as do more than MAX_DIGITS digits.
     """
     comp = comp if isinstance(comp, Composition) else Composition(comp)
     zq = Fraction(z)  # exact for int, Fraction and (dyadic) float inputs
@@ -336,8 +323,17 @@ def multiple_polylog(comp, z, digits):
         raise ValueError("z must satisfy 0 < z <= 1, got %s" % (z,))
     if zq == 1 and not comp.is_convergent:
         raise ValueError("the series diverges at z = 1 for %s" % (comp,))
-    digits = _integer_in(digits, "digits", 1, MAX_DIGITS)
-    dps = digits + GUARD
+    digits = integer_in(digits, "digits", 1, MAX_DIGITS)
+    # The first term t1 = z^r / prod_(i<=r) i^(n_i) bounds the sum from
+    # below, so floor(-log10 t1) = floor(log10 floor(1/t1)) more working
+    # digits make the error relative; counted from below, as 0.30102 < log10 2
+    inverse = (zq.denominator ** comp.depth
+               * math.prod(i ** n for i, n in enumerate(comp.parts, 1))
+               // zq.numerator ** comp.depth)
+    extra = (inverse.bit_length() - 1) * 30102 // 100000
+    while 10 ** (extra + 1) <= inverse:
+        extra += 1
+    dps = digits + GUARD + extra
     # mpf reads an (int, exponent) pair exactly and rounds it once
     return BigReal((_polylog_raw(comp.parts, zq, dps), -_scale_bits(dps)), digits)
 
@@ -357,7 +353,7 @@ def mzv_eval(comp, digits):
     comp = comp if isinstance(comp, Composition) else Composition(comp)
     if not comp.is_convergent:
         raise ValueError("%s diverges; regularize before evaluating" % (comp,))
-    digits = _integer_in(digits, "digits", 1, MAX_DIGITS)
+    digits = integer_in(digits, "digits", 1, MAX_DIGITS)
     dps = digits + GUARD
     letters = comp.to_binary().letters
     total = 0
@@ -390,9 +386,7 @@ def monte_carlo(integrand, dimension, samples, seed):
     depends only on (samples, seed) and not on how the batches are
     scheduled.
     """
-    samples = integral(samples, "need at least 2 samples")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    samples, seed = integer_in(samples, "samples", 2), integer_in(seed, "seed", 0)
     s1 = 0.0
     s2 = 0.0
     done = 0

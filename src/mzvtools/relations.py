@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .algebra import shuffle, stuffle
 from .dims import count_hoffman_words, dimension
-from .errors import _Immutable, check
+from .errors import _Immutable, check, integer_in
 from .lincomb import LinComb
 from .linalg import SparseRREF
 from .words import Composition, enumerate_compositions, letters_to_parts
@@ -112,12 +112,13 @@ class RelationMatrix(_Immutable):
 
 
 def check_weight(weight, max_weight):
-    """Raise ValueError unless 2 <= weight <= max_weight."""
-    if weight < 2:
-        raise ValueError("weight must be >= 2")
-    if weight > max_weight:
+    """The weight as an int; ValueError unless both arguments are integers
+    and 2 <= weight <= max_weight."""
+    weight = integer_in(weight, "weight", 2)
+    if weight > integer_in(max_weight, "max_weight"):
         raise ValueError("weight %d exceeds the cap %d; raise max_weight "
                          "explicitly for longer runs" % (weight, max_weight))
+    return weight
 
 
 def build_relation_matrix(weight, include_hoffman=True, max_weight=DEFAULT_MAX_WEIGHT):
@@ -128,7 +129,7 @@ def build_relation_matrix(weight, include_hoffman=True, max_weight=DEFAULT_MAX_W
     m then n; then the Hoffman rows over convergent words of weight-1 in
     canonical order.
     """
-    check_weight(weight, max_weight)
+    weight = check_weight(weight, max_weight)
     basis = enumerate_compositions(weight, convergent_only=True)
     columns = {w.parts: i for i, w in enumerate(basis)}
     rows = []
@@ -159,8 +160,7 @@ def relation_table(weight, max_weight=DEFAULT_MAX_WEIGHT):
     and its echelon form are shared by every caller and must not be
     mutated.
     """
-    check_weight(weight, max_weight)
-    return _table(weight)
+    return _table(check_weight(weight, max_weight))
 
 
 # Enough for every weight from 2 to the default cap with room to spare; the
@@ -206,6 +206,7 @@ def dimension_upper_bound(weight, max_weight=DEFAULT_MAX_WEIGHT):
     d_n of the dimension recurrence would mean a false relation and raises
     InvariantError."""
     matrix = relation_table(weight, max_weight)
+    weight = matrix.weight
     bound = 2 ** (weight - 2) - matrix_rank(matrix)
     check(bound >= dimension(weight), "bound %d fell below d_%d = %d: some relation is false"
           % (bound, weight, dimension(weight)))

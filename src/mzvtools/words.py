@@ -31,9 +31,7 @@ lexicographically.
 
 from __future__ import annotations
 
-from .errors import _Immutable, integral
-
-_BAD_PART = "composition parts must be integers >= 1, got %r"
+from .errors import _Immutable, integer_in
 
 
 class _Word(_Immutable):
@@ -82,11 +80,7 @@ class Composition(_Word):
     parts = _Word.letters  # the same slot, read-only under its own name
 
     def __init__(self, parts=()):
-        parts = tuple(integral(p, _BAD_PART, p) for p in parts)
-        for p in parts:
-            if p < 1:
-                raise ValueError(_BAD_PART % (p,))
-        super().__init__(parts)
+        super().__init__(tuple([integer_in(p, "composition part", 1) for p in parts]))
 
     @property
     def weight(self):
@@ -190,8 +184,7 @@ def enumerate_compositions(weight, convergent_only=False):
     part tuples, which the depth-first recursion, smaller parts first,
     yields as it goes.
     """
-    if weight < 0:
-        raise ValueError("weight must be >= 0")
+    weight = integer_in(weight, "weight", 0)
     out = []
 
     def rec(prefix, remaining):

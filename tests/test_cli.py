@@ -135,7 +135,7 @@ def test_feynman_period_match_weight_out_of_range_exits_one(monkeypatch, capsys,
     code, out, err = run(capsys, "feynman", "period", "V=4; 1-2,1-3,1-4,2-3,2-4,3-4",
                          "--samples", "3e6", "--match-weight", weight)
     assert (code, out, calls) == (1, "", [])
-    assert "weight must be between 2 and 12" in err
+    assert "weight must be an integer between 2 and 12" in err
 
 
 def test_feynman_period_lists_candidates(capsys):
@@ -324,7 +324,7 @@ def test_non_finite_sample_count_exits_one(capsys, samples):
     code, out, err = run(capsys, "feynman", "period", "V=2; 1-2,1-2", "--samples", samples)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: --samples must be a finite count")
+    assert err.startswith("error: samples must be an integer >= 2, got ")
 
 
 @pytest.mark.parametrize("samples", ["2.9", "0.5", "1e-3"])
@@ -333,7 +333,7 @@ def test_fractional_sample_count_exits_one(capsys, samples):
     code, out, err = run(capsys, "feynman", "period", "V=2; 1-2,1-2", "--samples", samples)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: --samples must be a whole count")
+    assert err.startswith("error: samples must be an integer >= 2, got ")
 
 
 def test_exponent_sample_count_still_runs(capsys):
@@ -344,11 +344,12 @@ def test_exponent_sample_count_still_runs(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("--table", "-1"), "--table must be >= 0"),
-    (("--max", "0"), "--max must be >= 2"),
-    (("--max", "1"), "--max must be >= 2"),
-    (("--max", "-4"), "--max must be >= 2"),
-])
+    (("--table", "-1"), "--table must be an integer >= 0"),
+    (("--max", "0"), "weight must be an integer >= 2"),
+    (("--max", "1"), "weight must be an integer >= 2"),
+    (("--max", "-4"), "weight must be an integer >= 2"),
+], ids=["argv0---table must be >= 0", "argv1---max must be >= 2",
+        "argv2---max must be >= 2", "argv3---max must be >= 2"])
 def test_dims_out_of_range_fails_before_building(monkeypatch, capsys, argv, message):
     monkeypatch.setattr(relations, "_table", lru_cache(maxsize=16)(relations._table.__wrapped__))
     code, out, err = run(capsys, "dims", *argv)

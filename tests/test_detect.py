@@ -178,7 +178,7 @@ def test_lll_reduce_rejects_ragged_or_non_integral_rows(basis):
 @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
 def test_lll_reduce_rejects_non_finite_entries(x):
     # an infinity used to escape as OverflowError from int()
-    with pytest.raises(ValueError, match="integer entries"):
+    with pytest.raises(ValueError, match="lll_reduce entry must be an integer"):
         lll_reduce([[x, 0], [0, 1]])
 
 
@@ -357,14 +357,14 @@ def test_height_bound_excludes_large_relations():
 @pytest.mark.parametrize("bound", [0, -3])
 def test_height_bound_below_one_is_named(bound):
     xs = [mzv_eval(Composition((1, 2)), 40), mzv_eval(Composition((3,)), 40)]
-    with pytest.raises(ValueError, match="height_bound must be >= 1"):
+    with pytest.raises(ValueError, match="height_bound must be an integer >= 1"):
         detect(xs, 40, height_bound=bound)
 
 
 def test_cli_height_bound_below_one_is_named(capsys):
     code = main(["detect", "(1,2)", "(3)", "--digits", "40", "--height-bound", "-3"])
     assert code == 1
-    assert "height_bound must be >= 1" in capsys.readouterr().err
+    assert "height_bound must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_result_json_obj():

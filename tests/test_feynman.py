@@ -65,9 +65,9 @@ def test_vertex_out_of_range_rejected():
     with pytest.raises(ValueError):
         Graph(3, [(1, 2), (2, 5)])
     # non-integral counts and ends used to be truncated: 3.7 vertices were 3
-    with pytest.raises(ValueError, match="need at least one vertex"):
+    with pytest.raises(ValueError, match="vertex count must be an integer >= 1"):
         Graph(3.7, [(1, 2), (2, 3)])
-    with pytest.raises(ValueError, match=r"edge \(2,2.5\) leaves the vertex range"):
+    with pytest.raises(ValueError, match="edge end must be an integer between 1 and 3, got 2.5"):
         Graph(3, [(1, 2), (2, 2.5)])
     graph = Graph(3.0, [(1.0, 2), (2, 3)])
     assert (graph.n_vertices, graph.edges) == (3, ((1, 2), (2, 3)))

@@ -3,6 +3,9 @@ error, and none of them rests on an ``assert`` statement (which ``python -O``
 strips).  Every module-level definition is either exported or used."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,35 @@ def test_tree_count_mismatch_is_a_fault(monkeypatch):
     monkeypatch.setattr(feynman, "spanning_tree_count", lambda graph: 0)
     with pytest.raises(InvariantError, match="matrix-tree"):
         kirchhoff_polynomial(Graph.parse("V=3; 1-2,1-3,2-3"))
+
+
+OPTIMIZED_REFUSALS = """
+from mzvtools import Graph, feynman, mzv_eval
+from mzvtools.errors import InvariantError
+if __debug__:
+    raise SystemExit("not running under python -O")
+try:
+    mzv_eval((2,), 2.5)
+except ValueError as exc:
+    print(exc)
+else:
+    raise SystemExit("no ValueError")
+feynman.spanning_tree_count = lambda graph: 0
+try:
+    feynman.kirchhoff_polynomial(Graph.parse("V=3; 1-2,1-3,2-3"))
+except InvariantError as exc:
+    print(exc)
+else:
+    raise SystemExit("no InvariantError")
+"""
+
+
+def test_refusals_and_faults_fire_under_python_O():
+    # python -O strips assert statements; neither check may rest on one
+    env = dict(os.environ, PYTHONPATH=str(Path(mzvtools.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_REFUSALS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "digits must be an integer between 1 and 2000, got 2.5",
+        "deletion-contraction disagrees with the matrix-tree count"]

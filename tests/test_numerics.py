@@ -119,7 +119,7 @@ def test_even_zeta_rejects_odd_or_zero():
     with pytest.raises(ValueError):
         zeta_even_closed_form(0, 20)
     # a float s used to fail as a list index
-    with pytest.raises(ValueError, match="even integer"):
+    with pytest.raises(ValueError, match="s must be an integer >= 2, got 4.5"):
         zeta_even_closed_form(4.5, 20)
     assert zeta_even_closed_form(4.0, 20).nstr() == zeta_even_closed_form(4, 20).nstr()
 
@@ -205,7 +205,7 @@ def test_euler_maclaurin_rejects_s_one():
         zeta_euler_maclaurin(1, 20)
     # a non-integral s used to be truncated: 2.5 gave zeta(2)
     for s in [2.5, float("inf"), float("nan")]:
-        with pytest.raises(ValueError, match="need an integer s >= 2"):
+        with pytest.raises(ValueError, match="s must be an integer >= 2"):
             zeta_euler_maclaurin(s, 10)
     assert zeta_euler_maclaurin(2.0, 10).nstr() == zeta_euler_maclaurin(2, 10).nstr()
 
@@ -241,6 +241,32 @@ def test_polylog_matches_brute_sum_at_half(parts):
         assert abs(v.value - brute) < mpf(10) ** -18
 
 
+@pytest.mark.parametrize("parts,z", [((2,), Fraction(1, 10 ** 15)),
+                                     ((2,), Fraction(1, 10 ** 30)),
+                                     ((1, 2), Fraction(1, 10 ** 20))])
+def test_polylog_digits_are_relative_at_small_z(parts, z):
+    # the fixed-point error used to be absolute: Li_2(10^-30) came back as
+    # 0.0 and Li_2(10^-15) as 9.999999999e-16
+    brute = polylog_brute(parts, z, 8)
+    for digits in (10, 20):
+        v = multiple_polylog(parts, z, digits)
+        assert v.nstr() == mp.nstr(brute, digits)
+        assert abs(v.value - brute) < brute * mpf(10) ** (1 - digits)
+
+
+def test_polylog_keeps_its_working_digits_when_the_first_term_is_large(monkeypatch):
+    # t1 = z^r / prod i^(n_i) above 1/10 adds no digits: Li_1(1/2) has
+    # t1 = 1/2, Li_(1,2)(1/2) has 1/16 and gets one more
+    precisions = []
+    raw = numerics._polylog_raw
+    monkeypatch.setattr(numerics, "_polylog_raw",
+                        lambda parts, z, dps: precisions.append(dps) or raw(parts, z, dps))
+    multiple_polylog((1,), HALF, 20)
+    multiple_polylog((1, 2), HALF, 20)
+    multiple_polylog((2,), Fraction(1, 10 ** 30), 20)
+    assert precisions == [20 + GUARD, 21 + GUARD, 50 + GUARD]
+
+
 def test_polylog_at_one_is_zeta():
     # polynomial convergence at z=1 makes this a low-precision check only
     v = multiple_polylog(Composition((2,)), 1, 4)
@@ -251,7 +277,7 @@ def test_polylog_at_one_is_zeta():
 def test_polylog_validates_raw_tuples():
     # parts below 1 used to be summed as if they were exponents
     for parts in [(-1, 2), (0, 2), (2.5,)]:
-        with pytest.raises(ValueError, match="parts must be integers >= 1"):
+        with pytest.raises(ValueError, match="composition part must be an integer >= 1"):
             multiple_polylog(parts, 0.5, 10)
     assert multiple_polylog((1, 2), 0.5, 20).nstr() == multiple_polylog(
         Composition((1, 2)), Fraction(1, 2), 20).nstr()
@@ -468,7 +494,7 @@ def test_hypercube_is_deterministic():
 @pytest.mark.parametrize("samples", [2.9, 1, float("inf"), float("nan")])
 def test_monte_carlo_refuses_a_bad_sample_count(samples):
     # 2.9 samples used to be truncated to 2; nothing is sampled now
-    with pytest.raises(ValueError, match="need at least 2 samples"):
+    with pytest.raises(ValueError, match="samples must be an integer >= 2"):
         monte_carlo(None, 1, samples, 1)
 
 

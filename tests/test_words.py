@@ -35,7 +35,7 @@ def test_bad_parts_rejected():
         Composition((-1,))
     # non-integral parts used to be truncated: (2.5, 3) was (2,3)
     for parts in [(2.5, 3), (2, float("inf")), (float("nan"),)]:
-        with pytest.raises(ValueError, match="parts must be integers >= 1"):
+        with pytest.raises(ValueError, match="composition part must be an integer >= 1"):
             Composition(parts)
     assert Composition((2.0, 3)) == Composition((2, 3))
 
