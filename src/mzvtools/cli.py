@@ -38,6 +38,10 @@ from .relations import (DEFAULT_MAX_WEIGHT, build_relation_matrix, check_weight,
                         matrix_rank, relation_table)
 from .words import parse_binary_word, parse_composition, parse_generic_word
 
+# Each row of `dims --table N` recounts its weight from scratch, so the table
+# takes about N^3 steps: the largest prints in about a second.
+MAX_TABLE = 500
+
 
 def _parse_word_literal(text):
     s = text.strip()
@@ -97,7 +101,8 @@ def _build_parser():
     p = add("dims", "dimension table: counting (--table) or exact rank bounds (--max)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--table", type=int, metavar="N",
-                       help="print n, d_n, 2^(n-2), Hoffman count, f-monomial count")
+                       help="print n, d_n, 2^(n-2), Hoffman count, f-monomial count "
+                       "for n = 0..N (N <= %d)" % MAX_TABLE)
     group.add_argument("--max", type=int, metavar="N",
                        help="compute exact rank bounds for weights 2..N")
 
@@ -173,7 +178,7 @@ def _dispatch(args):
     if cmd == "dims":
         if args.table is not None:
             rows = []
-            for n in range(integer_in(args.table, "--table", 0) + 1):
+            for n in range(integer_in(args.table, "--table", 0, MAX_TABLE) + 1):
                 rows.append({"weight": n, "d": dimension(n),
                              "words": 2 ** (n - 2) if n >= 2 else (1 if n == 0 else 0),
                              "hoffman": count_hoffman_words(n),

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from operator import getitem
 from typing import NamedTuple
 
 import numpy as np
@@ -176,15 +175,15 @@ def spanning_tree_count(graph):
 class GraphPolynomial(_Immutable):
     """A set of squarefree monomials in the edge variables, all of one degree.
 
-    ``monomials`` holds each distinct monomial once, as the sorted tuple of
-    its edge ids, and the monomials in sorted order: the order in which
-    they print and in which the period integrand sums them.
+    ``monomials`` must hold distinct monomials, each the increasing tuple of
+    its edge ids, in print order: the order in which they print and in
+    which the period integrand sums them.  They are stored as given.
     """
 
     __slots__ = ("degree", "monomials")
 
     def __init__(self, monomials):
-        monomials = tuple(sorted({tuple(sorted(set(m))) for m in monomials}))
+        monomials = tuple(monomials)
         degrees = {len(m) for m in monomials}
         if len(degrees) > 1:
             raise ValueError("monomials of mixed degree: %s" % sorted(degrees))
@@ -227,14 +226,9 @@ def kirchhoff_polynomial(graph):
                     list(zip(_ends(graph.edges), range(graph.n_edges))), 0, trees)
     check(len(trees) == count,
           "deletion-contraction disagrees with the matrix-tree count")
-    # each complement from the set bits of all-edges XOR tree, a byte at a
-    # time: table c lists the edge ids of every byte value at bits 8c..8c+7
-    tables = [[tuple(8 * c + i for i in range(8) if b >> i & 1) for b in range(256)]
-              for c in range((graph.n_edges + 7) // 8)]
-    full = (1 << graph.n_edges) - 1
-    return GraphPolynomial(
-        sum(map(getitem, tables, (full ^ t).to_bytes(len(tables), "little")), ())
-        for t in trees)
+    ids = range(graph.n_edges)
+    return GraphPolynomial(sorted(tuple(i for i in ids if not t >> i & 1)
+                                  for t in trees))
 
 
 def is_primitive_log_divergent(graph):
@@ -372,6 +366,8 @@ def match_period(estimate, error, weight):
     known better than its ulp, so a smaller error (an exact integrand has
     stderr 0) is raised to that.
     """
+    if not math.isfinite(estimate):
+        raise ValueError("estimate must be finite, got %r" % (estimate,))
     if not (math.isfinite(error) and error >= 0):
         raise ValueError("error must be finite and >= 0, got %r" % (error,))
     error = max(error, math.ulp(estimate))
@@ -382,8 +378,9 @@ def match_period(estimate, error, weight):
         lo = (estimate - ACCEPT_SIGMA * error) / v
         hi = (estimate + ACCEPT_SIGMA * error) / v
         for b in range(1, MAX_DENOMINATOR + 1):
-            for a in range(math.ceil(lo * b), math.floor(hi * b) + 1):
-                if a == 0 or abs(a) > MAX_NUMERATOR or math.gcd(a, b) != 1:
+            for a in range(math.ceil(max(lo * b, -MAX_NUMERATOR)),
+                           math.floor(min(hi * b, MAX_NUMERATOR)) + 1):
+                if a == 0 or math.gcd(a, b) != 1:
                     continue
                 q = Fraction(a, b)
                 score = abs(estimate - float(q) * v) / error

@@ -224,11 +224,15 @@ def parse_binary_word(text):
 
 
 def parse_generic_word(text):
-    """Parse a dot-separated letter list such as ``"f3.f5"`` into a GenericWord."""
+    """Parse a dot-separated letter list such as ``"f3.f5"`` into a GenericWord.
+    The empty text is the empty word; an empty letter raises ValueError."""
     s = text.strip()
     if not s:
         return GenericWord()
-    return GenericWord(s.split("."))
+    letters = s.split(".")
+    if not all(letters):
+        raise ValueError("empty letter in the word %r" % (text,))
+    return GenericWord(letters)
 
 
 WORD_KINDS = {

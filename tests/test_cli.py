@@ -28,6 +28,13 @@ def test_shuffle_letter_words(capsys):
     assert "f3.f5.f7" in out
 
 
+def test_shuffle_refuses_an_empty_letter(capsys):
+    code, out, err = run(capsys, "shuffle", "f3..f5", "f7")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: empty letter")
+
+
 def test_stuffle_text(capsys):
     code, out, _ = run(capsys, "stuffle", "(2)", "(3)")
     assert code == 0
@@ -344,14 +351,17 @@ def test_exponent_sample_count_still_runs(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("--table", "-1"), "--table must be an integer >= 0"),
+    (("--table", "-1"), "--table must be an integer between 0 and"),
     (("--max", "0"), "weight must be an integer >= 2"),
     (("--max", "1"), "weight must be an integer >= 2"),
     (("--max", "-4"), "weight must be an integer >= 2"),
+    (("--table", str(cli.MAX_TABLE + 1)), "--table must be an integer between 0 and"),
 ], ids=["argv0---table must be >= 0", "argv1---max must be >= 2",
-        "argv2---max must be >= 2", "argv3---max must be >= 2"])
+        "argv2---max must be >= 2", "argv3---max must be >= 2",
+        "argv4---table above the cap"])
 def test_dims_out_of_range_fails_before_building(monkeypatch, capsys, argv, message):
     monkeypatch.setattr(relations, "_table", lru_cache(maxsize=16)(relations._table.__wrapped__))
+    monkeypatch.setattr(cli, "dimension", lambda n: pytest.fail("a row was computed"))
     code, out, err = run(capsys, "dims", *argv)
     assert code == 1
     assert out == ""

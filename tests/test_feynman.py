@@ -7,6 +7,7 @@ wheel periods.  The estimator is unbiased but heavy-tailed, so frozen
 seeds guard the pipeline while the loose gates reflect honest accuracy.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -318,6 +319,14 @@ def test_kirchhoff_polynomial_memory_is_bounded():
     assert peak < 8 * 10 ** 6
 
 
+def test_kirchhoff_print_order_is_frozen():
+    # past the edge-subset oracle's reach: the print order is also the order
+    # in which the period integrand sums the monomials
+    text = str(kirchhoff_polynomial(complete_graph(7)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1f70b7952d22069cf0eb456e975c64d536d0d5efcb634904970a6df7428b7582")
+
+
 @pytest.mark.parametrize("spokes", range(3, 8))
 def test_wheels_are_primitive(spokes):
     g = wheel(spokes)
@@ -439,6 +448,27 @@ def test_match_rejects_negative_or_non_finite_error():
     for error in (-0.1, math.inf, math.nan):
         with pytest.raises(ValueError):
             match_period(1.0, error, 3)
+
+
+def test_match_rejects_non_finite_estimate():
+    for estimate in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^estimate must be finite"):
+            match_period(estimate, 0.1, 3)
+
+
+def test_match_numerators_are_bounded_not_scanned():
+    # a wide window holds every |a| <= MAX_NUMERATOR already, so a wider one
+    # lists the same fits, without scanning the integers past the bound
+    start = time.perf_counter()
+    wide = match_period(7.2, 1e6, 3)
+    huge = match_period(1e300, 1e299, 3)
+    elapsed = time.perf_counter() - start
+    narrow = match_period(7.2, 1e4, 3)
+    assert [(m.coefficient, m.label) for m in wide] == [
+        (m.coefficient, m.label) for m in narrow]
+    assert len(wide) == 29872
+    assert huge == []
+    assert elapsed < 1.5
 
 
 def test_zero_error_is_raised_to_the_ulp():

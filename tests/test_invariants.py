@@ -1,6 +1,7 @@
 """Internal invariants raise InvariantError, a fault rather than a domain
 error, and none of them rests on an ``assert`` statement (which ``python -O``
-strips).  Every module-level definition is either exported or used."""
+strips).  Every module-level definition is either exported or used, and
+every module-level import is named."""
 
 import ast
 import os
@@ -31,6 +32,13 @@ def test_no_assert_statements_in_the_package():
 KEPT_UNUSED = {}
 
 
+def exported_names(tree):
+    """The names that a module's ``__all__`` lists."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
 def unused_definitions(package_dir):
     """Module-level functions and classes that ``__all__`` does not export,
     and the methods (``Class.method``, dunders aside) of classes it does not
@@ -47,9 +55,7 @@ def unused_definitions(package_dir):
                              m.lineno, m.end_lineno)
                             for m in node.body if isinstance(m, functions)
                             and not (m.name.startswith("__") and m.name.endswith("__"))]
-            elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                exported.update(ast.literal_eval(node.value))
+        exported.update(exported_names(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.append((node.id, path.name, node.lineno))
@@ -65,6 +71,42 @@ def unused_definitions(package_dir):
 def test_every_definition_is_exported_or_used():
     assert all(reason.strip() for reason in KEPT_UNUSED.values())
     assert unused_definitions(Path(mzvtools.__file__).parent) == sorted(KEPT_UNUSED)
+
+
+def unused_imports(package_dir):
+    """Module-level imports that their module never names, as
+    ``file:line name``; ``__future__`` imports and names that ``__all__``
+    exports aside."""
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [(a.asname or a.name.partition(".")[0], node.lineno)
+                             for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [(a.asname or a.name, node.lineno) for a in node.names]
+        kept = exported_names(tree) | {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for name, line in imported if name not in kept]
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports(Path(mzvtools.__file__).parent) == []
+
+
+def test_unused_import_scan_sees_a_leftover(tmp_path):
+    (tmp_path / "leftover.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from operator import getitem, itemgetter as pick\n"
+        "import json as js\n"
+        "__all__ = ['pick']\n"
+        "print(os.sep)\n")
+    assert unused_imports(tmp_path) == ["leftover.py:3 getitem", "leftover.py:4 js"]
 
 
 def test_bound_below_dimension_is_a_fault(monkeypatch):

@@ -124,6 +124,7 @@ def test_parsers_round_trip():
     assert parse_composition("()") == Composition()
     assert parse_binary_word("110") == BinaryWord("110")
     assert parse_generic_word("f3.f5") == GenericWord(("f3", "f5"))
+    assert parse_generic_word("") == GenericWord()
     assert parse_composition(str(Composition((4, 1, 2)))) == Composition((4, 1, 2))
 
 
@@ -134,6 +135,9 @@ def test_parser_errors():
         parse_composition("1,2")
     with pytest.raises(ValueError):
         parse_binary_word("102")
+    for text in ("f3..f5", "f3.", ".", ".f5"):
+        with pytest.raises(ValueError, match="empty letter"):
+            parse_generic_word(text)
 
 
 def test_ordering_is_by_weight_then_parts():
