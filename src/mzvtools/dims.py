@@ -24,23 +24,12 @@ from .errors import integer_in
 
 def dimension(n):
     """d_n from the recurrence d_n = d_{n-2} + d_{n-3}."""
-    n = integer_in(n, "weight", 0)
-    d = [1, 0, 1]
-    while len(d) <= n:
-        d.append(d[-2] + d[-3])
-    return d[n]
+    return _dimensions(integer_in(n, "weight", 0))[-1]
 
 
 def count_hoffman_words(n):
     """Number of compositions of n with every part in {2, 3}."""
-    n = integer_in(n, "weight", 0)
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for total in range(1, n + 1):
-        for part in (2, 3):
-            if total >= part:
-                counts[total] += counts[total - part]
-    return counts[n]
+    return _hoffman_counts(integer_in(n, "weight", 0))[-1]
 
 
 def count_f_monomials(n):
@@ -50,14 +39,50 @@ def count_f_monomials(n):
     Counted as the t^n coefficient of 1/(1-t^2) * 1/(1-(t^3+t^5+...)),
     expanded with exact integer arithmetic.
     """
+    return _f_monomial_counts(integer_in(n, "weight", 0))[-1]
+
+
+def weight_counts(n):
+    """(d_k, Hoffman words, f-monomials) for every weight k = 0..n.
+
+    Each recurrence runs once up to n, about n^2 steps in all; calling the
+    three per-weight counts for every k would take about n^3.
+    """
     n = integer_in(n, "weight", 0)
+    return list(zip(_dimensions(n), _hoffman_counts(n), _f_monomial_counts(n)))
+
+
+def _dimensions(n):
+    """d_0, ..., d_n."""
+    d = [1, 0, 1]
+    while len(d) <= n:
+        d.append(d[-2] + d[-3])
+    return d[:n + 1]
+
+
+def _hoffman_counts(n):
+    """The number of compositions of k into parts 2 and 3, for k = 0..n."""
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    for total in range(1, n + 1):
+        for part in (2, 3):
+            if total >= part:
+                counts[total] += counts[total - part]
+    return counts
+
+
+def _f_monomial_counts(n):
+    """The f-monomial counts of weights 0..n."""
     # words in the odd letters: w = 1 + (t^3 + t^5 + ...) * w
     odd_words = [0] * (n + 1)
     odd_words[0] = 1
     for total in range(1, n + 1):
         odd_words[total] = sum(odd_words[total - j] for j in range(3, total + 1, 2))
     # multiply by the even series 1/(1-t^2) = 1 + t^2 + t^4 + ...
-    return sum(odd_words[n - e] for e in range(0, n + 1, 2))
+    counts = []
+    for k, w in enumerate(odd_words):
+        counts.append(w + (counts[k - 2] if k >= 2 else 0))
+    return counts
 
 
 def growth_root():

@@ -362,6 +362,7 @@ def test_exponent_sample_count_still_runs(capsys):
 def test_dims_out_of_range_fails_before_building(monkeypatch, capsys, argv, message):
     monkeypatch.setattr(relations, "_table", lru_cache(maxsize=16)(relations._table.__wrapped__))
     monkeypatch.setattr(cli, "dimension", lambda n: pytest.fail("a row was computed"))
+    monkeypatch.setattr(cli, "weight_counts", lambda n: pytest.fail("a row was computed"))
     code, out, err = run(capsys, "dims", *argv)
     assert code == 1
     assert out == ""

@@ -1,6 +1,7 @@
 import pytest
 
 from mzvtools import count_f_monomials, count_hoffman_words, dimension, growth_root
+from mzvtools.dims import weight_counts
 
 
 KNOWN_D = [1, 0, 1, 1, 1, 2, 2, 3, 4, 5, 7, 9, 12, 16]
@@ -46,6 +47,15 @@ def test_three_counts_agree(n):
     d = dimension(n)
     assert count_hoffman_words(n) == d
     assert count_f_monomials(n) == d
+
+
+def test_weight_counts_rows_are_the_per_weight_counts():
+    rows = weight_counts(60)
+    assert rows == [(dimension(n), count_hoffman_words(n), count_f_monomials(n))
+                    for n in range(61)]
+    assert weight_counts(0) == [(1, 1, 1)]
+    with pytest.raises(ValueError):
+        weight_counts(-1)
 
 
 def test_growth_root_is_the_real_root():

@@ -14,13 +14,15 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from mzvtools import (Composition, Graph, GraphPolynomial,
+from mzvtools import (Composition, Graph, GraphPolynomial, feynman,
                       is_primitive_log_divergent, kirchhoff_polynomial,
                       match_period, mzv_eval, period_monte_carlo,
                       spanning_tree_count)
+from mzvtools.numerics import monte_carlo
 
 K4 = Graph.parse("V=4; 1-2,1-3,1-4,2-3,2-4,3-4")
 TRIANGLE = Graph.parse("V=3; 1-2,1-3,2-3")
@@ -399,6 +401,60 @@ def test_w4_period_loose():
     target = 20 * float(mzv_eval(Composition((5,)), 20).value)
     assert abs(est.value - target) / target < 0.15
     assert est.value == pytest.approx(18.834442847799671, abs=0)
+
+
+def test_w5_frozen_run():
+    # the 121-tree wheel, frozen at 10^5 samples
+    est = period_monte_carlo(wheel(5), 10 ** 5, seed=1)
+    assert est.value == pytest.approx(61.44017530036692, abs=0)
+    assert est.stderr == pytest.approx(9.35662506193187, abs=0)
+
+
+def mask_integrand(graph):
+    """The integrand as a boolean mask per monomial, as the oracle: for each
+    monomial the row-wise products of u over its free edges and of 1 - u
+    over the others, taken from copies of the batch."""
+    psi = kirchhoff_polynomial(graph)
+    masks = np.zeros((len(psi), graph.n_edges - 1), dtype=bool)
+    for row, m in enumerate(psi.monomials):
+        for e in m:
+            if e < graph.n_edges - 1:
+                masks[row, e] = True
+
+    def integrand(u):
+        one_minus = 1.0 - u
+        phi = np.zeros(len(u))
+        for sel in masks:
+            phi += u[:, sel].prod(axis=1) * one_minus[:, ~sel].prod(axis=1)
+        return 1.0 / (phi * phi)
+
+    return integrand
+
+
+@pytest.mark.parametrize("graph", [
+    K4, W4, wheel(5), Graph(2, [(1, 2), (1, 2)]),
+], ids=["K4", "W4", "W5", "banana"])
+@pytest.mark.parametrize("samples", [12345, 70001])
+def test_period_integrand_is_bit_identical_to_the_mask_oracle(monkeypatch, graph, samples):
+    # 12345 and 70001 are multiples of neither the 2^13-sample chunk nor the
+    # 2^16-sample batch; the banana's two monomials have an empty u product
+    # and an empty 1 - u product
+    batches = []
+
+    def recording(integrand, dimension, samples, seed):
+        def record(u):
+            batches.append(integrand(u))
+            return batches[-1]
+        return monte_carlo(record, dimension, samples, seed)
+
+    monkeypatch.setattr(feynman, "monte_carlo", recording)
+    est = period_monte_carlo(graph, samples, seed=5)
+    ours = batches.copy()
+    batches.clear()
+    oracle = recording(mask_integrand(graph), graph.n_edges - 1, samples, 5)
+    assert len(ours) == len(batches) == math.ceil(samples / 2 ** 16)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, batches))
+    assert (est.value, est.stderr) == (oracle.value, oracle.stderr)
 
 
 def test_sample_budget_not_divisible_by_batch():
