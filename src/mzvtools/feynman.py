@@ -59,6 +59,11 @@ MAX_DENOMINATOR = 12
 MAX_NUMERATOR = 1000
 ACCEPT_SIGMA = 3.0
 CANDIDATE_DIGITS = 30
+# The largest samples x monomials a period estimate may take: the integrand
+# costs one product pair per monomial per sample, about 2e8 a second on a
+# 2-vCPU host, so the cap is about 10 s of sampling.  W5 (121 trees) at 10^7
+# samples takes 1.21e9.
+MAX_MONOMIAL_SAMPLES = 2 * 10 ** 9
 # Samples per edge-major chunk of a batch in the period integrand: its rows
 # of u and 1 - u and two accumulators stay in cache while every monomial's
 # products are taken.
@@ -287,13 +292,19 @@ def period_monte_carlo(graph, samples, seed=DEFAULT_SEED):
     Chart: the last edge variable is set to 1; the others map to u/(1-u)
     over the unit cube, sampled in batches by ``numerics.monte_carlo``, so
     the estimate depends only on (samples, seed), not on scheduling.  Both
-    are checked before the primitivity scan.
+    are checked before the primitivity scan.  More than
+    MAX_MONOMIAL_SAMPLES samples x monomials of Psi raise ValueError before
+    any sample is drawn.
     """
     samples, seed = integer_in(samples, "samples", 2), integer_in(seed, "seed", 0)
     if not is_primitive_log_divergent(graph):
         raise ValueError("%s is not primitive log-divergent; the period "
                          "integral does not converge" % (graph,))
     psi = kirchhoff_polynomial(graph)
+    if samples * len(psi) > MAX_MONOMIAL_SAMPLES:
+        raise ValueError("%d samples x %d monomials of %s exceed the cap "
+                         "MAX_MONOMIAL_SAMPLES = %d"
+                         % (samples, len(psi), graph, MAX_MONOMIAL_SAMPLES))
     n_free = graph.n_edges - 1
     # each monomial's free edges, multiplied as u, and the rest, as 1 - u
     factors = []
@@ -349,14 +360,13 @@ def period_candidates(weight):
             b = weight - a
             out.append(("zeta(%d,%d)" % (a, b), mzv_eval((a, b), digits).value))
         if weight == 8:
-            # The wheel-type combination, in both index orders: sources that
-            # sum over decreasing indices write the depth-2 factor with its
-            # parts swapped, so both readings count as known constants.
-            tail = Fraction(45, 4) * zeta[5] * zeta[3] - Fraction(261, 20) * zeta[8]
-            for parts in ((5, 3), (3, 5)):
-                value = Fraction(27, 5) * mzv_eval(parts, digits).value + tail
-                out.append(("27/5*zeta(%d,%d)+45/4*zeta(5)*zeta(3)-261/20*zeta(8)"
-                            % parts, value))
+            # The wheel-type combination of the census (Schnetz,
+            # arXiv:0801.2856), whose zeta(5,3) is sum_{m>n} m^-5 n^-3: the 5
+            # sits on the larger index, which is the order (3,5) here.
+            out.append(("27/5*zeta(3,5)+45/4*zeta(5)*zeta(3)-261/20*zeta(8)",
+                        Fraction(27, 5) * mzv_eval((3, 5), digits).value
+                        + Fraction(45, 4) * zeta[5] * zeta[3]
+                        - Fraction(261, 20) * zeta[8]))
     return tuple(out)
 
 

@@ -4,7 +4,8 @@ All routines take a requested precision ``digits`` (decimal) and work
 internally at ``digits + GUARD`` so that the reported digits are trusted;
 results come back as ``BigReal`` values that carry their precision.  More
 than MAX_DIGITS digits, by any route, raise ValueError before any
-summation.  The multiple polylogarithms are summed
+summation.  The digits are relative, however small the value.  The
+multiple polylogarithms are summed
 in fixed point: Python ints scaled by 2^B, where every truncation is a
 floor with a stated error bound, converted to mpmath once at the end.
 The simple-zeta routes, pi and the elementary functions use mpmath's
@@ -16,7 +17,9 @@ iterated integral word over {0, 1} on the path from 0 to 1, split the path
 at 1/2, and rewrite the upper half through t -> 1-t (reverse the subword
 and exchange the letters).  Both halves become multiple polylogarithms at
 z = 1/2, where the defining nested sums converge geometrically: about
-3.33 * digits terms each, for any weight.  The polylogarithm itself is
+3.33 * digits terms each, for any weight.  A multiple polylogarithm at
+z = 1 is the multiple zeta value of its word and is evaluated the same way;
+a series is summed only for 0 < z < 1.  The polylogarithm itself is
 summed by the prefix-sum dynamic program in one loop over the N terms,
 costing depth * N integer operations, never N^depth, in O(depth) memory.
 The two halves of every split share one scale, so their products are
@@ -197,39 +200,29 @@ def zeta_euler_maclaurin(s, digits, cutoff=None, correction_terms=None):
 
 
 # A polylogarithm series that needs more terms than this is refused rather
-# than summed: at z = 1 the series converges polynomially (zeta(2) to d
-# digits needs about 10^d terms), and just below 1 geometrically but slowly.
+# than summed: just below z = 1 the series converges geometrically but slowly.
 _MAX_TERMS = 10 ** 7
 
 
 def _truncation_index(parts, z, dps):
-    """Smallest N with the series tail below 10^-dps.
+    """Smallest N with the series tail below 10^-dps, for 0 < z < 1.
 
-    The inner sums are bounded by k^(depth-1), so for z < 1 the tail after N
-    is at most (N+1)^(r-1) z^(N+1) (r-1)! / (1-z)^r; for z = 1 (convergent
-    words only) it is at most N^(r-w) / (w-r).  More than _MAX_TERMS terms
+    The inner sums are bounded by k^(depth-1), so the tail after N is at
+    most (N+1)^(r-1) z^(N+1) (r-1)! / (1-z)^r.  More than _MAX_TERMS terms
     raise ValueError before any summation.
     """
     r = len(parts)
-    if z == 1:
-        w = sum(parts)
-        # Guard digits exist for round-off, not truncation: aiming the tail
-        # at the padded precision would cost 10^GUARD times more terms, so
-        # target the delivered digits plus a small slack instead.
-        log_n = (dps - GUARD + 2 - math.log10(w - r)) / (w - r)
-        n = int(10 ** min(log_n, 8)) + 2  # min: past the cap, short of overflow
-    else:
-        p, q = z.numerator, z.denominator
-        # -log10(z) from the ints, and near 1 from 1 - z = (q-p)/q: float(z)
-        # rounds to 1 there
-        decay = (math.log10(q) - math.log10(p) if 2 * p <= q
-                 else -math.log1p((p - q) / q) / math.log(10))
-        log_fact = math.log10(math.factorial(r - 1))
-        log_1mz = math.log10(q - p) - math.log10(q)
-        n = max(8, int(dps / decay) + 4) if decay * _MAX_TERMS > dps else _MAX_TERMS + 1
-        while n <= _MAX_TERMS and ((r - 1) * math.log10(n + 1) - (n + 1) * decay
-                                   + log_fact - r * log_1mz > -(dps + 1)):
-            n += max(4, n // 8)
+    p, q = z.numerator, z.denominator
+    # -log10(z) from the ints, and near 1 from 1 - z = (q-p)/q: float(z)
+    # rounds to 1 there
+    decay = (math.log10(q) - math.log10(p) if 2 * p <= q
+             else -math.log1p((p - q) / q) / math.log(10))
+    log_fact = math.log10(math.factorial(r - 1))
+    log_1mz = math.log10(q - p) - math.log10(q)
+    n = max(8, int(dps / decay) + 4) if decay * _MAX_TERMS > dps else _MAX_TERMS + 1
+    while n <= _MAX_TERMS and ((r - 1) * math.log10(n + 1) - (n + 1) * decay
+                               + log_fact - r * log_1mz > -(dps + 1)):
+        n += max(4, n // 8)
     if n > _MAX_TERMS:
         raise ValueError("%d decimal places of a polylogarithm at z = %s would need "
                          "more than %d terms" % (dps - GUARD, z, _MAX_TERMS))
@@ -283,7 +276,7 @@ def _polylog_fixed(parts, z, bits, n):
 def _polylog_raw(parts, z, dps):
     """Li_{parts}(z) at dps digits as an int scaled by 2^_scale_bits(dps).
 
-    ``z`` is an exact Fraction in (0, 1]; the scale depends on dps alone,
+    ``z`` is an exact Fraction in (0, 1); the scale depends on dps alone,
     so all values at one precision share it.  The series is cut where its
     tail drops below 10^-(dps+1) (``_truncation_index``), and the kernel
     runs enough bits finer that its error bound (``_polylog_fixed``) is
@@ -308,34 +301,55 @@ def _polylog_half(parts, dps):
     return _polylog_raw(parts, Fraction(1, 2), dps)
 
 
+def _decimal_exponent(n):
+    """floor(log10 n) for an int n >= 1, counted from below, as
+    0.30102 < log10 2."""
+    e = (n.bit_length() - 1) * 30102 // 100000
+    while 10 ** (e + 1) <= n:
+        e += 1
+    return e
+
+
 def multiple_polylog(comp, z, digits):
     """The one-variable multiple polylogarithm sum_{k1<...<kr} z^{kr} / prod ki^{ni}.
 
-    ``z`` may be a Fraction, int or float with 0 < z < 1, or exactly 1 when
-    the composition is convergent.  Divergent compositions (last part 1)
-    are fine for z < 1, where convergence is geometric.  The digits are
-    relative, also for small z.  A raw tuple goes through ``Composition``,
-    so parts below 1 raise ValueError, as do more than MAX_DIGITS digits.
+    ``z`` may be a Fraction, int or float with 0 < z <= 1.  At z = 1 the
+    value is the multiple zeta value of the composition, returned by
+    ``mzv_eval`` (a divergent one raises ValueError there).  For z < 1 the
+    series is summed, divergent compositions (last part 1) included, since
+    convergence is geometric.  The digits are relative for every z.  A raw
+    tuple goes through ``Composition``, so parts below 1 raise ValueError,
+    as do more than MAX_DIGITS digits.
     """
     comp = comp if isinstance(comp, Composition) else Composition(comp)
     zq = Fraction(z)  # exact for int, Fraction and (dyadic) float inputs
     if not 0 < zq <= 1:
         raise ValueError("z must satisfy 0 < z <= 1, got %s" % (z,))
-    if zq == 1 and not comp.is_convergent:
-        raise ValueError("the series diverges at z = 1 for %s" % (comp,))
+    if zq == 1:
+        return mzv_eval(comp, digits)
     digits = integer_in(digits, "digits", 1, MAX_DIGITS)
     # The first term t1 = z^r / prod_(i<=r) i^(n_i) bounds the sum from
     # below, so floor(-log10 t1) = floor(log10 floor(1/t1)) more working
-    # digits make the error relative; counted from below, as 0.30102 < log10 2
+    # digits make the error relative
     inverse = (zq.denominator ** comp.depth
                * math.prod(i ** n for i, n in enumerate(comp.parts, 1))
                // zq.numerator ** comp.depth)
-    extra = (inverse.bit_length() - 1) * 30102 // 100000
-    while 10 ** (extra + 1) <= inverse:
-        extra += 1
-    dps = digits + GUARD + extra
+    dps = digits + GUARD + _decimal_exponent(inverse)
     # mpf reads an (int, exponent) pair exactly and rounds it once
     return BigReal((_polylog_raw(comp.parts, zq, dps), -_scale_bits(dps)), digits)
+
+
+def _path_split_sum(letters, dps):
+    """The value of a convergent binary word as an int scaled by
+    2^(2 _scale_bits(dps)), less than 4 units of 2^-_scale_bits(dps) below
+    it (see ``mzv_eval``)."""
+    total = 0
+    for k in range(len(letters) + 1):
+        # both path pieces of a convergent word start with the letter 1
+        lower = letters_to_parts(letters[:k])
+        upper = letters_to_parts(tuple(1 - a for a in reversed(letters[k:])))
+        total += _polylog_half(lower, dps) * _polylog_half(upper, dps)
+    return total
 
 
 def mzv_eval(comp, digits):
@@ -347,8 +361,17 @@ def mzv_eval(comp, digits):
     less than 2 units of the shared scale 2^-B below its truncated sum, so
     each product, summed as an int at scale 2^(2B), is less than 4 units
     of 2^-B below the product of the truncated halves; the sum is rounded
-    to digits once.  More than MAX_DIGITS digits raise ValueError before
-    any summation.
+    to digits once.
+
+    The digits are relative.  At digits + GUARD working digits, a value
+    above 10^-(GUARD+1) is known to better than 10^-(digits+3) of itself.
+    A value with L > GUARD leading zero digits after the point is summed
+    once more at L more working digits, which keeps its relative error
+    below 10^-(digits+GUARD+3).  L is counted from the first sum, or from
+    the first series term 1/prod_(i<=r) i^(n_i), whichever is the larger:
+    both lie below the value.  No word of weight <= 12 takes that second
+    sum: the smallest value of weight 12, zeta(1,1,1,1,1,7), is about 1.9e-7.
+    More than MAX_DIGITS digits raise ValueError before any summation.
     """
     comp = comp if isinstance(comp, Composition) else Composition(comp)
     if not comp.is_convergent:
@@ -356,12 +379,14 @@ def mzv_eval(comp, digits):
     digits = integer_in(digits, "digits", 1, MAX_DIGITS)
     dps = digits + GUARD
     letters = comp.to_binary().letters
-    total = 0
-    for k in range(len(letters) + 1):
-        # both path pieces of a convergent word start with the letter 1
-        lower = letters_to_parts(letters[:k])
-        upper = letters_to_parts(tuple(1 - a for a in reversed(letters[k:])))
-        total += _polylog_half(lower, dps) * _polylog_half(upper, dps)
+    total = _path_split_sum(letters, dps)
+    inverse = math.prod(i ** n for i, n in enumerate(comp.parts, 1))
+    if total:
+        inverse = min(inverse, (1 << 2 * _scale_bits(dps)) // total)
+    lead = _decimal_exponent(inverse)
+    if lead > GUARD:
+        dps += lead
+        total = _path_split_sum(letters, dps)
     return BigReal((total, -2 * _scale_bits(dps)), digits)
 
 

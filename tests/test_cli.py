@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from functools import lru_cache
 
 import pytest
@@ -143,6 +144,20 @@ def test_feynman_period_match_weight_out_of_range_exits_one(monkeypatch, capsys,
                          "--samples", "3e6", "--match-weight", weight)
     assert (code, out, calls) == (1, "", [])
     assert "weight must be an integer between 2 and 12" in err
+
+
+def test_feynman_period_refuses_hours_of_sampling_at_once(monkeypatch, capsys):
+    # 10^12 samples of K4's 16 monomials would run for about a day
+    def sampling(*args):
+        raise AssertionError("sampling started")
+    monkeypatch.setattr(feynman, "monte_carlo", sampling)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "feynman", "period", "V=4; 1-2,1-3,1-4,2-3,2-4,3-4",
+                         "--samples", "1e12")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 1000000000000 samples x 16 monomials")
+    assert "MAX_MONOMIAL_SAMPLES" in err
+    assert time.perf_counter() - start < 2
 
 
 def test_feynman_period_lists_candidates(capsys):

@@ -366,6 +366,20 @@ def test_period_requires_log_divergent_graph():
         period_monte_carlo(TRIANGLE, 100)
 
 
+def test_period_cap_refuses_before_any_sample(monkeypatch):
+    # W5 at 10^7 samples, the largest request in use, is 1.21e9 products
+    calls = []
+    monkeypatch.setattr(feynman, "monte_carlo", lambda *args: calls.append(args))
+    period_monte_carlo(wheel(5), 10 ** 7)
+    cap = feynman.MAX_MONOMIAL_SAMPLES
+    period_monte_carlo(wheel(5), cap // 121)
+    assert [args[2] for args in calls] == [10 ** 7, cap // 121]
+    with pytest.raises(ValueError, match="121 monomials .* exceed the cap "
+                       "MAX_MONOMIAL_SAMPLES = %d" % cap):
+        period_monte_carlo(wheel(5), cap // 121 + 1)
+    assert len(calls) == 2
+
+
 def test_banana_period_is_exactly_one():
     # Phi = u + (1-u) = 1, so every sample evaluates to 1
     est = period_monte_carlo(Graph(2, [(1, 2), (1, 2)]), 1000, seed=0)
@@ -486,8 +500,12 @@ def test_match_weight_six_product():
 def test_weight_eight_combination_is_a_known_constant():
     from mzvtools.feynman import period_candidates
     table = dict(period_candidates(8))
-    label = "27/5*zeta(5,3)+45/4*zeta(5)*zeta(3)-261/20*zeta(8)"
+    # the census's zeta(5,3) = sum_{m>n} m^-5 n^-3 is the order (3,5) here;
+    # the other order was listed too until it was settled
+    label = "27/5*zeta(3,5)+45/4*zeta(5)*zeta(3)-261/20*zeta(8)"
     assert label in table
+    assert "27/5*zeta(5,3)+45/4*zeta(5)*zeta(3)-261/20*zeta(8)" not in table
+    assert mzv_eval((3, 5), 30).nstr() == "0.0377076729848475440113047822937"
     value = float(table[label])
     matches = match_period(value * 0.999, 0.005 * value, 8)
     hit = [m for m in matches if m.label == label]

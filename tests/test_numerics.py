@@ -268,10 +268,26 @@ def test_polylog_keeps_its_working_digits_when_the_first_term_is_large(monkeypat
 
 
 def test_polylog_at_one_is_zeta():
-    # polynomial convergence at z=1 makes this a low-precision check only
-    v = multiple_polylog(Composition((2,)), 1, 4)
-    with mp.workdps(25):
-        assert abs(v.value - pi ** 2 / 6) < mpf(10) ** -3
+    v = multiple_polylog(Composition((2,)), 1, 40)
+    with mp.workdps(50):
+        assert abs(v.value - pi ** 2 / 6) < mpf(10) ** -39
+
+
+def test_polylog_at_one_is_mzv_eval_for_every_word_through_weight_eight():
+    # the z = 1 series once printed wrong digits from depth 2 on and
+    # refused 5 digits of zeta(2)
+    words = [c for w in range(2, 9) for c in enumerate_compositions(w) if c.is_convergent]
+    assert len(words) == 127
+    for digits in (10, 40):
+        for comp in words:
+            assert (multiple_polylog(comp, 1, digits).nstr()
+                    == mzv_eval(comp, digits).nstr()), (comp, digits)
+
+
+def test_polylog_at_one_prints_the_digits_of_zeta_2_3():
+    # zeta(2,3) = 3 zeta(2) zeta(3) - 11/2 zeta(5); the z = 1 series, with
+    # its depth-1 tail bound, printed 0.228810396809
+    assert multiple_polylog((2, 3), 1, 12).nstr() == "0.228810397603"
 
 
 def test_polylog_validates_raw_tuples():
@@ -303,10 +319,10 @@ def test_polylog_divergent_word_fine_below_one():
 
 
 def test_polylog_z_one_precision_cap():
-    # polynomial convergence at z=1 makes 40 digits of zeta(2) infeasible
-    with pytest.raises(ValueError):
-        multiple_polylog(Composition((2,)), 1, 40)
-    # just below 1 the series converges too slowly as well: these asked for
+    # at z = 1 the value comes from the path split, with no term cap
+    assert (multiple_polylog(Composition((2,)), 1, 40).nstr()
+            == mzv_eval((2,), 40).nstr())
+    # just below 1 the series converges too slowly: these asked for
     # 8.7e7 and 9.8e10 terms, and the last failed in a float logarithm
     for z in [1 - Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 9), 1 - Fraction(1, 2 ** 60)]:
         with pytest.raises(ValueError, match="would need more than 10000000 terms"):
@@ -449,6 +465,35 @@ def test_mzv_satisfies_stuffle_numerically():
     with mp.workdps(50):
         z = lambda *p: mzv_eval(Composition(p), 40).value
         assert abs(z(2) * z(3) - (z(2, 3) + z(3, 2) + z(5))) < mpf(10) ** -38
+
+
+@pytest.mark.parametrize("parts,digits,closed_form", [
+    ((2,) * 13, 15, lambda: pi ** 26 / mp.factorial(27)),
+    ((2,) * 20, 30, lambda: pi ** 40 / mp.factorial(41)),
+    ((1, 3) * 7, 20, lambda: 2 * pi ** 28 / mp.factorial(30)),
+], ids=["2^13", "2^20", "(1,3)^7"])
+def test_mzv_digits_are_relative_for_tiny_values(parts, digits, closed_form):
+    # zeta({2}^n) = pi^(2n)/(2n+1)! and zeta({1,3}^n) = 2 pi^(4n)/(4n+2)!;
+    # an absolute error of about 10^-(digits+15) once spoilt the last digits
+    # of these values below 10^-14
+    with mp.workdps(digits + 30):
+        expected = mp.nstr(closed_form(), digits)
+    assert mzv_eval(parts, digits).nstr() == expected
+
+
+def test_mzv_sums_once_more_only_past_the_guard(monkeypatch):
+    # a value below 10^-(GUARD+1) takes a second sum with one more working
+    # digit per leading zero; the smallest weight-12 value, about 1.9e-7,
+    # takes none
+    precisions = []
+    split = numerics._path_split_sum
+    monkeypatch.setattr(numerics, "_path_split_sum",
+                        lambda letters, dps: precisions.append(dps) or split(letters, dps))
+    mzv_eval((1, 1, 1, 1, 1, 7), 20)
+    assert precisions == [20 + GUARD]
+    precisions.clear()
+    mzv_eval((2,) * 13, 15)  # 7.7e-16: 15 leading zeros
+    assert precisions == [15 + GUARD, 15 + GUARD + 15]
 
 
 def test_mzv_precision_doubling_consistency():
