@@ -3,14 +3,14 @@ matrices.
 
 * ``SparseRREF`` -- the reduced row echelon form of one batch of sparse
   integer rows, {column: nonzero int} maps, with a configurable column
-  priority for pivot choice.  ``insert_all`` eliminates the batch
-  fraction-free over the integers, keeping each pivot row primitive and
-  back-substituting each new pivot into every pivot row that holds its
-  column, then checks in integers that every input row is the combination of
-  the pivot rows its pivot columns select, and only then divides each pivot
-  row by its pivot entry.  For relation matrices the reduced rows are
-  supported on the pivot column plus the few free columns.  Every reported
-  rank and decomposition comes from it.
+  priority for pivot choice.  ``insert_all`` copies each input row once and
+  eliminates the batch fraction-free over the integers in place, keeping
+  each pivot row primitive and back-substituting each new pivot into every
+  pivot row that holds its column, then checks in integers that every input
+  row is the combination of the pivot rows its pivot columns select, and
+  only then divides each pivot row by its pivot entry.  For relation
+  matrices the reduced rows are supported on the pivot column plus the few
+  free columns.  Every reported rank and decomposition comes from it.
 * ``bareiss_det`` -- dense one-step fraction-free elimination over
   unbounded integers, for the matrix-tree count of spanning trees.
 """
@@ -51,10 +51,13 @@ class SparseRREF:
         a*row - b*P_c, where (a, b) is (P_c[c], row[c]) over their gcd; a new
         pivot row is made primitive (the gcd of its entries divided out, its
         pivot entry positive) and cleared the same way from every pivot row
-        that holds its column.  These steps keep the pivot rows in the input's
-        row space; they are kept only after every input row checks out as a
-        combination of them (``_spans``), so they span all of it and form its
-        reduced echelon form.  The input rows are not changed.
+        that holds its column.  Each input row's entries are copied once;
+        every clearing then updates that copy, or the pivot row it clears,
+        in place, on the columns of P_c alone, and rescales the whole row
+        only when a != 1.  The input rows are not changed.  These steps keep
+        the pivot rows in the input's row space; they are kept only after
+        every input row checks out as a combination of them (``_spans``), so
+        they span all of it and form its reduced echelon form.
         ValueError, before any elimination, if a row holds an explicit zero;
         InvariantError if the check fails.  ``pivot_rows`` is then unchanged.
         """
@@ -70,15 +73,17 @@ class SparseRREF:
         rows.sort(key=lambda r: min(map(self.priority, r)), reverse=True)
         pivots = {}   # pivot column -> primitive integer row, pivot entry > 0
         for row in rows:
+            row = dict(row)   # the one copy: the clearing below is in place
             for c in [c for c in row if c in pivots]:
-                row = _cleared(row, c, pivots[c])
+                _clear(row, c, pivots[c])
             if not row:
                 continue
             p = min(row, key=self.priority)
             row = _primitive(row, row[p])
             for q, target in pivots.items():
                 if p in target:
-                    pivots[q] = _primitive(_cleared(target, p, row))
+                    _clear(target, p, row)
+                    pivots[q] = _primitive(target)
             pivots[p] = row
         check(_spans(rows, pivots), "the integer echelon of %d rows does not "
               "span them" % len(rows))
@@ -96,21 +101,23 @@ def _primitive(row, lead=1):
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def _cleared(row, c, prow):
-    """The integer row a*row - b*prow, where (a, b) is (prow[c], row[c])
-    over their gcd: column c cancels, and a > 0 when prow[c] > 0, so an
-    entry in a column prow lacks keeps its sign."""
+def _clear(row, c, prow):
+    """Set the integer row to a*row - b*prow in place, where (a, b) is
+    (prow[c], row[c]) over their gcd: column c cancels, and a > 0 when
+    prow[c] > 0, so an entry in a column prow lacks keeps its sign.  Only
+    prow's columns are visited, unless a != 1 rescales the whole row."""
     g = gcd(prow[c], row[c])
     a, b = prow[c] // g, row[c] // g
-    out = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
-    get = out.get
+    if a != 1:
+        for k, v in row.items():
+            row[k] = a * v
+    get = row.get
     for k, v in prow.items():
         s = get(k, 0) - b * v
         if s:
-            out[k] = s
+            row[k] = s
         else:
-            del out[k]   # a zero sum needs a term of out, as b * v != 0
-    return out
+            del row[k]   # a zero sum needs a term of row, as b * v != 0
 
 
 def _spans(rows, pivots):

@@ -32,9 +32,13 @@ class LinComb(_Immutable):
         for word, c in coeffs:
             c = Fraction(c)
             if c:
-                d[word] = d.get(word, Fraction(0)) + c
-                if not d[word]:
-                    del d[word]
+                # a repeated word merges into its earlier coefficient
+                if word in d:
+                    c += d[word]
+                    if not c:
+                        del d[word]
+                        continue
+                d[word] = c
         kinds = {type(w) for w in d}
         if len(kinds) > 1:
             raise TypeError("cannot mix word kinds in one combination: %s"

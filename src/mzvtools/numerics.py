@@ -4,10 +4,12 @@ All routines take a requested precision ``digits`` (decimal) and work
 internally at ``digits + GUARD`` so that the reported digits are trusted;
 results come back as ``BigReal`` values that carry their precision.  More
 than MAX_DIGITS digits, by any route, raise ValueError before any
-summation.  The digits are relative, however small the value.  The
-multiple polylogarithms are summed
-in fixed point: Python ints scaled by 2^B, where every truncation is a
-floor with a stated error bound, converted to mpmath once at the end.
+summation, as does a polylogarithm sum whose kernel work, its terms times
+its depth weighted by the scale's size, exceeds MAX_KERNEL_WORK.  The
+digits are relative, however small the value.  The multiple
+polylogarithms are summed in fixed point: Python ints scaled by 2^B, where
+every truncation is a floor with a stated error bound, converted to mpmath
+once at the end.
 The simple-zeta routes, pi and the elementary functions use mpmath's
 arbitrary-precision floats; every series, truncation bound and algorithm
 is implemented here.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -229,6 +232,37 @@ def _truncation_index(parts, z, dps):
     return n
 
 
+# Level steps of the fixed-point kernel, one per series term and depth,
+# each weighted by 1 + B/256 for a scale of B bits.  On a 2-vCPU host a unit
+# takes 0.11-0.15 us where every level holds B-bit ints (zeta(3,9) at
+# MAX_DIGITS: 1.9e7 units in 2.1 s), and down to 0.04 us for deep words,
+# whose deep levels hold small ints ({2}^100 at 10 digits: a second pass of
+# 2.6e8 units at 335 working digits, 11 s).  So the cap is about 10 s of
+# summing for shallow words and about 3 s for deep ones.  The largest
+# request of weight <= 12, (1,1,1,1,1,7) at MAX_DIGITS, takes 2.3e7.
+MAX_KERNEL_WORK = 7 * 10 ** 7
+
+
+def _check_kernel_work(series, z, dps):
+    """ValueError, before any summation, when summing the series of the part
+    tuples ``series`` at z and dps would take more than MAX_KERNEL_WORK
+    weighted level steps: the ``_truncation_index`` terms times the depth
+    of each series, weighted by the scale's size.  Cached values count too,
+    so whether a request is refused depends on the request alone."""
+    terms = {0: 0}   # by depth, all the index depends on; an empty half sums nothing
+    steps = 0
+    for parts in series:
+        r = len(parts)
+        if r not in terms:
+            terms[r] = _truncation_index(parts, z, dps)
+        steps += terms[r] * r
+    work = steps * (256 + _scale_bits(dps)) // 256
+    if work > MAX_KERNEL_WORK:
+        raise ValueError("summing at %d working digits would take %d weighted "
+                         "level steps, more than the cap MAX_KERNEL_WORK = %d"
+                         % (dps, work, MAX_KERNEL_WORK))
+
+
 def _scale_bits(dps):
     """Fraction bits B of the fixed-point values at dps digits: one unit,
     2^-B, is below 2^-16 * 10^-dps."""
@@ -319,7 +353,8 @@ def multiple_polylog(comp, z, digits):
     series is summed, divergent compositions (last part 1) included, since
     convergence is geometric.  The digits are relative for every z.  A raw
     tuple goes through ``Composition``, so parts below 1 raise ValueError,
-    as do more than MAX_DIGITS digits.
+    as do more than MAX_DIGITS digits and a series that would take more than
+    MAX_KERNEL_WORK weighted kernel steps.
     """
     comp = comp if isinstance(comp, Composition) else Composition(comp)
     zq = Fraction(z)  # exact for int, Fraction and (dyadic) float inputs
@@ -335,21 +370,29 @@ def multiple_polylog(comp, z, digits):
                * math.prod(i ** n for i, n in enumerate(comp.parts, 1))
                // zq.numerator ** comp.depth)
     dps = digits + GUARD + _decimal_exponent(inverse)
+    _check_kernel_work([comp.parts], zq, dps)
     # mpf reads an (int, exponent) pair exactly and rounds it once
     return BigReal((_polylog_raw(comp.parts, zq, dps), -_scale_bits(dps)), digits)
+
+
+def _path_halves(letters):
+    """The (lower, upper) part tuples of each split of a convergent binary
+    word's path at 1/2, the upper one read back through t -> 1-t."""
+    # both path pieces of a convergent word start with the letter 1
+    return [(letters_to_parts(letters[:k]),
+             letters_to_parts(tuple(1 - a for a in reversed(letters[k:]))))
+            for k in range(len(letters) + 1)]
 
 
 def _path_split_sum(letters, dps):
     """The value of a convergent binary word as an int scaled by
     2^(2 _scale_bits(dps)), less than 4 units of 2^-_scale_bits(dps) below
-    it (see ``mzv_eval``)."""
-    total = 0
-    for k in range(len(letters) + 1):
-        # both path pieces of a convergent word start with the letter 1
-        lower = letters_to_parts(letters[:k])
-        upper = letters_to_parts(tuple(1 - a for a in reversed(letters[k:])))
-        total += _polylog_half(lower, dps) * _polylog_half(upper, dps)
-    return total
+    it (see ``mzv_eval``).  Work above MAX_KERNEL_WORK raises ValueError
+    before any half is summed."""
+    halves = _path_halves(letters)
+    _check_kernel_work(chain.from_iterable(halves), Fraction(1, 2), dps)
+    return sum(_polylog_half(lower, dps) * _polylog_half(upper, dps)
+               for lower, upper in halves)
 
 
 def mzv_eval(comp, digits):
@@ -371,7 +414,10 @@ def mzv_eval(comp, digits):
     the first series term 1/prod_(i<=r) i^(n_i), whichever is the larger:
     both lie below the value.  No word of weight <= 12 takes that second
     sum: the smallest value of weight 12, zeta(1,1,1,1,1,7), is about 1.9e-7.
-    More than MAX_DIGITS digits raise ValueError before any summation.
+    More than MAX_DIGITS digits raise ValueError before any summation, and a
+    sum, the second one included, that would take more than MAX_KERNEL_WORK
+    weighted kernel steps raises it before that sum: ({2}^200) at 10 digits
+    is refused at once, ({2}^100) after its first sum.
     """
     comp = comp if isinstance(comp, Composition) else Composition(comp)
     if not comp.is_convergent:

@@ -136,6 +136,12 @@ except ValueError as exc:
     print(exc)
 else:
     raise SystemExit("no ValueError")
+try:
+    mzv_eval((2,) * 200, 10)
+except ValueError as exc:
+    print(exc)
+else:
+    raise SystemExit("no ValueError")
 feynman.spanning_tree_count = lambda graph: 0
 try:
     feynman.kirchhoff_polynomial(Graph.parse("V=3; 1-2,1-3,2-3"))
@@ -147,11 +153,13 @@ else:
 
 
 def test_refusals_and_faults_fire_under_python_O():
-    # python -O strips assert statements; neither check may rest on one
+    # python -O strips assert statements; no check here may rest on one
     env = dict(os.environ, PYTHONPATH=str(Path(mzvtools.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_REFUSALS],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "digits must be an integer between 1 and 2000, got 2.5",
+        "summing at 20 working digits would take 280192112 weighted level steps, "
+        "more than the cap MAX_KERNEL_WORK = 70000000",
         "deletion-contraction disagrees with the matrix-tree count"]

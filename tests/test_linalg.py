@@ -179,11 +179,22 @@ def test_insert_all_matches_one_by_one_on_relation_tables(weight):
 
 
 def test_insert_all_leaves_its_input_rows_unchanged():
+    # The first row is primitive and clears nothing, so it would become a
+    # pivot row as the caller's own dict; the second row's pivot, column 0,
+    # is then back-substituted into it.  Columns are preferred in the order
+    # 2, 0, 1.
+    rows = [{2: 1, 0: 1}, {2: 1, 1: 1}]
+    before = [dict(row) for row in rows]
+    rref = SparseRREF({2: 0, 0: 1, 1: 2}.get)
+    rref.insert_all(rows)
+    assert rref.pivot_rows == {2: {2: 1, 1: 1}, 0: {0: 1, 1: -1}}
+    assert rows == before
     # the table's rows are shared by every reader of the table
-    matrix = relation_table(8)
-    before = [dict(row) for row in matrix.rows()]
-    SparseRREF(_hoffman_last_priority(matrix.basis)).insert_all(matrix.rows())
-    assert list(matrix.rows()) == before
+    for weight in (8, 10):
+        matrix = relation_table(weight)
+        before = [dict(row) for row in matrix.rows()]
+        SparseRREF(_hoffman_last_priority(matrix.basis)).insert_all(matrix.rows())
+        assert list(matrix.rows()) == before
 
 
 # One-by-one insert is too slow past weight 9, so the echelons of weights 10
@@ -225,15 +236,14 @@ def test_insert_all_rebuilds_entries_with_large_denominators():
 
 
 def test_a_faulty_elimination_step_is_an_invariant_error(monkeypatch):
-    cleared = linalg._cleared
+    clear = linalg._clear
 
     def drops_an_entry(row, c, prow):
-        out = cleared(row, c, prow)
-        if len(out) > 1:
-            out.popitem()
-        return out
+        clear(row, c, prow)
+        if len(row) > 1:
+            row.popitem()
 
-    monkeypatch.setattr(linalg, "_cleared", drops_an_entry)
+    monkeypatch.setattr(linalg, "_clear", drops_an_entry)
     rref = SparseRREF()
     with pytest.raises(InvariantError):
         rref.insert_all(NEEDS_A_LARGE_MODULUS)

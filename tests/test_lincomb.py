@@ -24,9 +24,31 @@ def test_zero_coefficients_are_dropped():
     assert x == LinComb.zero()
 
 
-def test_duplicate_words_accumulate():
-    x = LinComb([(Composition((2,)), Fraction(1)), (Composition((2,)), Fraction(2))])
-    assert x.coeff(Composition((2,))) == 3
+A, B, C = Composition((2,)), Composition((3,)), Composition((1, 2))
+
+
+@pytest.mark.parametrize("pairs, expected", [
+    ([(A, 1), (A, 2)], [(A, 3)]),
+    # duplicates that cancel leave no term
+    ([(A, 1), (B, 2), (A, -1)], [(B, 2)]),
+    ([(A, Fraction(1, 3)), (A, Fraction(-1, 3))], []),
+    # a word re-added after cancelling keeps its new coefficient
+    ([(A, 1), (A, -1), (A, Fraction(5, 2))], [(A, Fraction(5, 2))]),
+    # a zero coefficient for a word already present leaves it unchanged
+    ([(A, 4), (A, 0), (A, Fraction(0))], [(A, 4)]),
+    # terms() is in canonical order, whatever the input order and merges
+    ([(C, 1), (B, 2), (A, 3), (C, 1), (B, -2)], [(A, 3), (C, 2)]),
+], ids=["accumulate", "cancel", "cancel-fractions", "re-added", "zero-added",
+        "order"])
+def test_duplicate_words_accumulate(pairs, expected):
+    x = LinComb(pairs)
+    assert x.terms() == expected
+    assert all(type(c) is Fraction for _, c in x.terms())
+    assert x == LinComb(dict(expected))
+    assert x.to_json_obj() == {
+        "kind": "composition" if expected else None,
+        "terms": [{"word": str(w), "numerator": Fraction(c).numerator,
+                   "denominator": Fraction(c).denominator} for w, c in expected]}
 
 
 def test_vector_space_axioms():

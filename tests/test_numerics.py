@@ -5,7 +5,9 @@ other rather than trusting any single route."""
 
 import math
 import re
+import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from mpmath import mp, mpf, pi, zeta as mp_zeta
@@ -14,9 +16,9 @@ from mzvtools import (BigReal, Composition, bernoulli, enumerate_compositions,
                       hypercube_zeta2, multiple_polylog, mzv_eval,
                       numerics, zeta_euler_maclaurin, zeta_even_closed_form)
 from mzvtools.errors import InvariantError
-from mzvtools.numerics import (GUARD, MAX_DIGITS, _polylog_fixed, _polylog_raw,
-                               _scale_bits, _truncation_index, hypercube_integrand,
-                               monte_carlo)
+from mzvtools.numerics import (GUARD, MAX_DIGITS, MAX_KERNEL_WORK, _check_kernel_work,
+                               _path_halves, _polylog_fixed, _polylog_raw, _scale_bits,
+                               _truncation_index, hypercube_integrand, monte_carlo)
 
 # The largest Euler-Maclaurin cutoff, which bounds the Bernoulli index too
 LARGEST_CUTOFF = max(12, MAX_DIGITS + GUARD)
@@ -494,6 +496,47 @@ def test_mzv_sums_once_more_only_past_the_guard(monkeypatch):
     precisions.clear()
     mzv_eval((2,) * 13, 15)  # 7.7e-16: 15 leading zeros
     assert precisions == [15 + GUARD, 15 + GUARD + 15]
+
+
+def test_deep_words_are_refused_before_summing(monkeypatch):
+    # ({2}^100) at 10 digits took 12 s, and each doubling of the depth cost
+    # about 12 times more
+    kernel = []
+    monkeypatch.setattr(numerics, "_polylog_fixed", lambda *args: kernel.append(args))
+    cap = "more than the cap MAX_KERNEL_WORK = %d" % MAX_KERNEL_WORK
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="summing at 20 working digits .* " + cap):
+        mzv_eval((2,) * 200, 10)
+    with pytest.raises(ValueError, match=cap):
+        multiple_polylog((2,) * 400, HALF, 10)
+    assert time.perf_counter() - start < 1
+    assert kernel == []
+
+
+def test_every_word_through_weight_twelve_stays_below_the_work_cap():
+    # so no word of the test suite or the benchmark sessions is refused:
+    # the work grows with the digits, and none of them takes a second sum
+    for weight in range(2, 13):
+        for comp in enumerate_compositions(weight, convergent_only=True):
+            halves = _path_halves(comp.to_binary().letters)
+            _check_kernel_work(chain.from_iterable(halves), HALF, MAX_DIGITS + GUARD)
+
+
+def test_zagier_weight_27_depth_13_at_1000_digits():
+    # Zagier (Annals 175, 2012), in the index order of this package:
+    # (2^a, 3, 2^b) = 2 sum_{r=1}^{K} (-1)^r [C(2r, 2a+2) - (1 - 2^-2r) C(2r, 2b+1)]
+    #                   * pi^(2(K-r)) / (2(K-r)+1)! * zeta(2r+1), with K = a+b+1;
+    # both of its sums stay below MAX_KERNEL_WORK
+    a, b = 4, 8
+    k = a + b + 1
+    with mp.workdps(1030):
+        value = 2 * mp.fsum(
+            (-1) ** r * (math.comb(2 * r, 2 * a + 2)
+                         - (1 - mpf(2) ** (-2 * r)) * math.comb(2 * r, 2 * b + 1))
+            * pi ** (2 * (k - r)) / mp.factorial(2 * (k - r) + 1) * mp_zeta(2 * r + 1)
+            for r in range(1, k + 1))
+        expected = mp.nstr(value, 1000)
+    assert mzv_eval((2,) * a + (3,) + (2,) * b, 1000).nstr() == expected
 
 
 def test_mzv_precision_doubling_consistency():
