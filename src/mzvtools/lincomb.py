@@ -6,9 +6,12 @@ eagerly, so equality is plain map equality and the zero combination is the
 empty map.  Iteration is always in the canonical graded-lexicographic word
 order, which makes printing and serialization deterministic.
 
-Serialization format: ``{"kind": <word kind>, "terms": [{"word": str,
+``to_json_obj`` writes ``{"kind": <word kind>, "terms": [{"word": str,
 "numerator": int, "denominator": int}, ...]}`` with terms in canonical
-order and denominators > 0.
+order and denominators > 0; the kind is the words' ``kind``
+(``"composition"``, ``"binary"`` or ``"letters"``), and each word is
+written as the parser of its kind reads it back.  The package writes this
+format and does not read it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import _Immutable
-from .words import WORD_KINDS, word_kind
 
 
 class LinComb(_Immutable):
@@ -117,19 +119,11 @@ class LinComb(_Immutable):
     def to_json_obj(self):
         if not self._coeffs:
             return {"kind": None, "terms": []}
-        kind = word_kind(next(iter(self._coeffs)))
+        word = next(iter(self._coeffs))
+        kind = getattr(word, "kind", None)
+        if kind is None:
+            raise TypeError("not a word type: %r" % (word,))
         terms = [{"word": str(w), "numerator": c.numerator, "denominator": c.denominator}
                  for w, c in self.terms()]
         return {"kind": kind, "terms": terms}
 
-    @classmethod
-    def from_json_obj(cls, obj):
-        kind = obj.get("kind")
-        terms = obj.get("terms", [])
-        if not terms:
-            return cls()
-        if kind not in WORD_KINDS:
-            raise ValueError("unknown word kind %r" % (kind,))
-        parse = WORD_KINDS[kind]
-        return cls([(parse(t["word"]), Fraction(t["numerator"], t["denominator"]))
-                    for t in terms])

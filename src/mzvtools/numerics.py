@@ -204,6 +204,12 @@ def zeta_euler_maclaurin(s, digits, cutoff=None, correction_terms=None):
 
 # A polylogarithm series that needs more terms than this is refused rather
 # than summed: just below z = 1 the series converges geometrically but slowly.
+# There this cap, not MAX_KERNEL_WORK, is the one that bounds a sum: a term
+# costs far more than the work unit's calibration at z = 1/2 (0.04-0.15 us).
+# Li_2(1 - 10^-5) at 10 digits sums 6,556,942 terms, 8.7e6 weighted units,
+# in 3.8-6.0 s on a 2-vCPU host (0.44-0.69 us per unit), so 10^7 terms take
+# about 6-9 s, while MAX_KERNEL_WORK alone would admit 30-48 s.  Do not
+# merge the two caps on today's unit.
 _MAX_TERMS = 10 ** 7
 
 
@@ -249,7 +255,13 @@ def _check_kernel_work(series, z, dps):
     weighted level steps: the ``_truncation_index`` terms times the depth
     of each series, weighted by the scale's size.  Cached values count too,
     so whether a request is refused depends on the request alone."""
-    terms = {0: 0}   # by depth, all the index depends on; an empty half sums nothing
+    # By depth, all the index depends on; an empty half sums nothing.  An
+    # lru_cache on (depth, z, dps) looked up once per half was measured
+    # slower in 4 of 4 in-process pairs: 5,120 Fraction-keyed lookups per
+    # warm sweep of the 256 weight-10 words at 40 digits took it from
+    # 0.015-0.025 s to 0.018-0.037 s.  A cache here has to keep one lookup
+    # per distinct depth.
+    terms = {0: 0}
     steps = 0
     for parts in series:
         r = len(parts)
@@ -474,6 +486,15 @@ def monte_carlo(integrand, dimension, samples, seed):
     return MonteCarloEstimate(mean, math.sqrt(var / samples), samples, seed)
 
 
+# The most samples hypercube_zeta2 may draw: 10^8 take about 1 s on a
+# 2-vCPU host, so the cap is about 10 s of sampling.
+MAX_HYPERCUBE_SAMPLES = 10 ** 9
+
+
 def hypercube_zeta2(samples, seed=DEFAULT_SEED):
-    """Monte-Carlo estimate of the integral of 1/(1-xy) over the unit square."""
+    """Monte-Carlo estimate of the integral of 1/(1-xy) over the unit square.
+
+    More than MAX_HYPERCUBE_SAMPLES samples raise ValueError before any
+    sample is drawn."""
+    samples = integer_in(samples, "samples", 2, MAX_HYPERCUBE_SAMPLES)
     return monte_carlo(lambda u: hypercube_integrand(u[:, 0], u[:, 1]), 2, samples, seed)

@@ -23,7 +23,9 @@ f3, f5, f7, ... where no integral encoding is involved.
 
 All three are immutable tuples of letters on one private base: a
 composition is the word y_n1...y_nr in the letters y_n (Hoffman,
-"Quasi-shuffle products", 2000), so its letters are its parts.  Canonical
+"Quasi-shuffle products", 2000), so its letters are its parts.  Each type
+names its kind in the class attribute ``kind`` (``"composition"``,
+``"binary"``, ``"letters"``), the name JSON output gives it.  Canonical
 order everywhere is graded lexicographic: first by weight (word length for
 letter words, the sum of the parts for compositions), then
 lexicographically.
@@ -32,6 +34,11 @@ lexicographically.
 from __future__ import annotations
 
 from .errors import _Immutable, integer_in
+
+# A binary letter as its int, looked up by a value equal to it (equal values
+# hash alike) or by its character in a str.
+_BITS = {0: 0, 1: 1}
+_CHAR_BITS = {"0": 0, "1": 1}
 
 
 class _Word(_Immutable):
@@ -77,6 +84,7 @@ class Composition(_Word):
     """
 
     __slots__ = ()
+    kind = "composition"
     parts = _Word.letters  # the same slot, read-only under its own name
 
     def __init__(self, parts=()):
@@ -108,18 +116,25 @@ class Composition(_Word):
 
 
 class BinaryWord(_Word):
-    """A word in the letters 0 and 1, indexing an iterated integral."""
+    """A word in the letters 0 and 1, indexing an iterated integral.
+
+    The letters are the characters of a str such as ``"110"``, or values
+    equal to 0 or 1, as ``errors.integer_in`` reads an integer (so ``1.0``
+    and ``True`` are the int 1).  Any other letter, ``0.5``, NaN or the str
+    ``"1"`` among them, raises ValueError naming the first such letter, and
+    an unhashable one TypeError.
+    """
 
     __slots__ = ()
+    kind = "binary"
 
     def __init__(self, letters=()):
-        if isinstance(letters, str):
-            letters = tuple(int(ch) for ch in letters)
-        else:
-            letters = tuple(int(a) for a in letters)
-        for a in letters:
-            if a not in (0, 1):
-                raise ValueError("binary word letters must be 0 or 1, got %r" % (a,))
+        # one lookup per letter, in C: it checks the letter and gives its int
+        bits = _CHAR_BITS if isinstance(letters, str) else _BITS
+        try:
+            letters = tuple(map(bits.__getitem__, letters))
+        except KeyError as exc:
+            raise ValueError("binary word letters must be 0 or 1, got %r" % exc.args) from None
         super().__init__(letters)
 
     @property
@@ -143,6 +158,7 @@ class GenericWord(_Word):
     """A word over an arbitrary alphabet of hashable, orderable letters."""
 
     __slots__ = ()
+    kind = "letters"
 
     def __init__(self, letters=()):
         super().__init__(tuple(letters))
@@ -234,19 +250,3 @@ def parse_generic_word(text):
         raise ValueError("empty letter in the word %r" % (text,))
     return GenericWord(letters)
 
-
-WORD_KINDS = {
-    "composition": parse_composition,
-    "binary": parse_binary_word,
-    "letters": parse_generic_word,
-}
-
-
-def word_kind(word):
-    if isinstance(word, Composition):
-        return "composition"
-    if isinstance(word, BinaryWord):
-        return "binary"
-    if isinstance(word, GenericWord):
-        return "letters"
-    raise TypeError("not a word type: %r" % (word,))

@@ -126,22 +126,23 @@ def test_tree_count_mismatch_is_a_fault(monkeypatch):
 
 
 OPTIMIZED_REFUSALS = """
-from mzvtools import Graph, feynman, mzv_eval
+from fractions import Fraction
+from mzvtools import (BinaryWord, Graph, feynman, hypercube_zeta2, multiple_polylog,
+                      mzv_eval)
 from mzvtools.errors import InvariantError
 if __debug__:
     raise SystemExit("not running under python -O")
-try:
-    mzv_eval((2,), 2.5)
-except ValueError as exc:
-    print(exc)
-else:
-    raise SystemExit("no ValueError")
-try:
-    mzv_eval((2,) * 200, 10)
-except ValueError as exc:
-    print(exc)
-else:
-    raise SystemExit("no ValueError")
+for refused in [lambda: mzv_eval((2,), 2.5),
+                lambda: mzv_eval((2,) * 200, 10),
+                lambda: BinaryWord([1.7, 0]),
+                lambda: hypercube_zeta2(10 ** 12),
+                lambda: multiple_polylog((2,), 1 - Fraction(1, 10 ** 9), 30)]:
+    try:
+        refused()
+    except ValueError as exc:
+        print(exc)
+    else:
+        raise SystemExit("no ValueError")
 feynman.spanning_tree_count = lambda graph: 0
 try:
     feynman.kirchhoff_polynomial(Graph.parse("V=3; 1-2,1-3,2-3"))
@@ -162,4 +163,8 @@ def test_refusals_and_faults_fire_under_python_O():
         "digits must be an integer between 1 and 2000, got 2.5",
         "summing at 20 working digits would take 280192112 weighted level steps, "
         "more than the cap MAX_KERNEL_WORK = 70000000",
+        "binary word letters must be 0 or 1, got 1.7",
+        "samples must be an integer between 2 and 1000000000, got 1000000000000",
+        "30 decimal places of a polylogarithm at z = 999999999/1000000000 would need "
+        "more than 10000000 terms",
         "deletion-contraction disagrees with the matrix-tree count"]

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from mzvtools import BinaryWord, Composition, LinComb
+from mzvtools import (BinaryWord, Composition, GenericWord, LinComb, parse_binary_word,
+                      parse_composition, parse_generic_word)
 
 
 def combo(*pairs):
@@ -88,16 +89,43 @@ def test_str_formats_signs_and_fractions():
     assert str(LinComb.zero()) == "0"
 
 
+# The public parser of each word kind; the package writes combinations as
+# JSON but does not read them, so the reader lives here.
+PARSERS = {"composition": parse_composition, "binary": parse_binary_word,
+           "letters": parse_generic_word}
+
+
+def from_json_obj(obj):
+    """The combination that ``LinComb.to_json_obj`` wrote as ``obj``."""
+    return LinComb([(PARSERS[obj["kind"]](t["word"]), Fraction(t["numerator"], t["denominator"]))
+                    for t in obj["terms"]])
+
+
 def test_json_round_trip():
     x = combo(((1, 2), Fraction(2, 7)), ((3,), -4))
     obj = x.to_json_obj()
     assert obj["kind"] == "composition"
-    assert LinComb.from_json_obj(obj) == x
+    assert from_json_obj(obj) == x
+    assert from_json_obj(LinComb.zero().to_json_obj()) == LinComb.zero()
 
 
 def test_json_round_trip_binary():
-    x = LinComb([(BinaryWord("10"), Fraction(1, 2))])
-    assert LinComb.from_json_obj(x.to_json_obj()) == x
+    x = LinComb([(BinaryWord("10"), Fraction(1, 2)), (BinaryWord(), -3)])
+    obj = x.to_json_obj()
+    assert obj["kind"] == "binary"
+    assert from_json_obj(obj) == x
+
+
+def test_json_round_trip_letters():
+    x = LinComb([(GenericWord(("f3", "f5")), Fraction(1, 2)), (GenericWord(), -3)])
+    obj = x.to_json_obj()
+    assert obj["kind"] == "letters"
+    assert from_json_obj(obj) == x
+
+
+def test_json_of_a_key_that_is_not_a_word_is_a_type_error():
+    with pytest.raises(TypeError, match=r"^not a word type: \(1, 2\)$"):
+        LinComb({(1, 2): 1}).to_json_obj()
 
 
 def test_equality_ignores_term_order():

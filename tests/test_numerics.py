@@ -8,6 +8,7 @@ import re
 import time
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf, pi, zeta as mp_zeta
@@ -16,9 +17,10 @@ from mzvtools import (BigReal, Composition, bernoulli, enumerate_compositions,
                       hypercube_zeta2, multiple_polylog, mzv_eval,
                       numerics, zeta_euler_maclaurin, zeta_even_closed_form)
 from mzvtools.errors import InvariantError
-from mzvtools.numerics import (GUARD, MAX_DIGITS, MAX_KERNEL_WORK, _check_kernel_work,
-                               _path_halves, _polylog_fixed, _polylog_raw, _scale_bits,
-                               _truncation_index, hypercube_integrand, monte_carlo)
+from mzvtools.numerics import (GUARD, MAX_DIGITS, MAX_HYPERCUBE_SAMPLES, MAX_KERNEL_WORK,
+                               _check_kernel_work, _path_halves, _polylog_fixed,
+                               _polylog_raw, _scale_bits, _truncation_index,
+                               hypercube_integrand, monte_carlo)
 
 # The largest Euler-Maclaurin cutoff, which bounds the Bernoulli index too
 LARGEST_CUTOFF = max(12, MAX_DIGITS + GUARD)
@@ -547,16 +549,24 @@ def test_mzv_precision_doubling_consistency():
 
 
 def test_mzv_depth_three_value():
-    # zeta(1,2,3): check against a direct truncated triple sum
-    v = mzv_eval(Composition((1, 2, 3)), 25)
-    with mp.workdps(35):
-        brute = mpf(0)
-        for k3 in range(3, 140):
-            for k2 in range(2, k3):
-                brute += sum(mpf(1) / k1 for k1 in range(1, k2)) / (
-                    mpf(k2) ** 2 * mpf(k3) ** 3)
-        # the truncated tail is ~ 1/140^2; compare loosely
-        assert abs(v.value - brute) < mpf(10) ** -3
+    # zeta(1,2,3) = 3 zeta(3)^2 - 203/48 zeta(6), to 40 digits; in this index
+    # order it is zeta(3,2,1) in the usual one
+    v = mzv_eval(Composition((1, 2, 3)), 40)
+    with mp.workdps(60):
+        closed = 3 * mp_zeta(3) ** 2 - mpf(203) / 48 * mp_zeta(6)
+        assert abs(v.value - closed) < mpf(10) ** -40 * closed
+
+
+@pytest.mark.parametrize("weight", range(3, 9))
+def test_sum_theorem_at_every_depth(weight):
+    # Granville's sum theorem: the convergent words of weight N and depth r
+    # sum to zeta(N), for every depth r, checked against Euler-Maclaurin
+    target = zeta_euler_maclaurin(weight, 40).value
+    words = enumerate_compositions(weight, convergent_only=True)
+    for depth in range(1, weight):
+        with mp.workdps(60):
+            total = sum(mzv_eval(c, 40).value for c in words if c.depth == depth)
+            assert abs(total - target) < mpf(10) ** -38
 
 
 # ------------------------------------------------------------ Monte Carlo
@@ -584,6 +594,23 @@ def test_monte_carlo_refuses_a_bad_sample_count(samples):
     # 2.9 samples used to be truncated to 2; nothing is sampled now
     with pytest.raises(ValueError, match="samples must be an integer >= 2"):
         monte_carlo(None, 1, samples, 1)
+
+
+def test_hypercube_refuses_more_samples_than_its_cap_before_drawing(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("a substream was drawn")
+
+    monkeypatch.setattr(numerics, "_substream", drawn)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^samples must be an integer between 2 and %d, "
+                       "got %d$" % (MAX_HYPERCUBE_SAMPLES, 10 ** 12)):
+        hypercube_zeta2(10 ** 12)
+    assert time.perf_counter() - start < 0.5
+    # the periods benchmark's request stays well inside the cap
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    assert 5 * workloads.HYPERCUBE_SAMPLES <= MAX_HYPERCUBE_SAMPLES
 
 
 def test_hypercube_stderr_scales_like_sqrt_n():

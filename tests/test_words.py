@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from mzvtools import (BigReal, BinaryWord, Composition, GenericWord, Graph,
@@ -79,6 +82,30 @@ def test_binary_convergent_means_starts_one_ends_zero():
     assert not BinaryWord("01").is_convergent
     assert not BinaryWord("11").is_convergent
     assert not BinaryWord("0").is_convergent
+
+
+@pytest.mark.parametrize("letters, bad", [
+    ([1.7, 0.2], "1.7"),
+    ([1, 0.5], "0.5"),
+    ([1, math.nan], "nan"),
+    (["1", "0"], "'1'"),
+    ([1, 0, 2], "2"),
+    ("102", "'2'"),
+])
+def test_binary_letters_not_equal_to_0_or_1_are_refused(letters, bad):
+    # a letter is never truncated to 0 or 1, and the first bad one is named
+    with pytest.raises(ValueError) as info:
+        BinaryWord(letters)
+    assert str(info.value) == "binary word letters must be 0 or 1, got " + bad
+
+
+@pytest.mark.parametrize("letters", [
+    [True, False], [1.0, 0.0], [np.int64(1), np.int8(0)], "10", (1, 0), iter([1, 0]),
+], ids=["bool", "float", "numpy", "str", "tuple", "iterator"])
+def test_binary_letters_equal_to_0_or_1_are_stored_as_ints(letters):
+    w = BinaryWord(letters)
+    assert w == BinaryWord("10")
+    assert [type(a) for a in w.letters] == [int, int]
 
 
 @pytest.mark.parametrize("weight,total,convergent", [
@@ -171,7 +198,7 @@ def test_word_types_with_the_same_tuple_are_unequal():
 
 @pytest.mark.parametrize("word", [Composition((1, 2)), BinaryWord("10"),
                                   GenericWord(("f3", "f5"))])
-@pytest.mark.parametrize("name", ["letters", "parts", "weight", "other"])
+@pytest.mark.parametrize("name", ["letters", "parts", "weight", "kind", "other"])
 def test_setting_an_attribute_names_the_class(word, name):
     with pytest.raises(AttributeError, match="^%s is immutable$" % type(word).__name__):
         setattr(word, name, ())
