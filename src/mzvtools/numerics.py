@@ -6,10 +6,11 @@ results come back as ``BigReal`` values that carry their precision.  More
 than MAX_DIGITS digits, by any route, raise ValueError before any
 summation, as does a polylogarithm sum whose kernel work, its terms times
 its depth weighted by the scale's size, exceeds MAX_KERNEL_WORK.  The
-digits are relative, however small the value.  The multiple
-polylogarithms are summed in fixed point: Python ints scaled by 2^B, where
-every truncation is a floor with a stated error bound, converted to mpmath
-once at the end.
+digits are relative, however small the value: the first series term, a
+lower bound of the value, sets the working digits before the one sum.
+The multiple polylogarithms are summed in fixed point: Python ints scaled
+by 2^B, where every truncation is a floor with a stated error bound,
+converted to mpmath once at the end.
 The simple-zeta routes, pi and the elementary functions use mpmath's
 arbitrary-precision floats; every series, truncation bound and algorithm
 is implemented here.
@@ -213,14 +214,14 @@ def zeta_euler_maclaurin(s, digits, cutoff=None, correction_terms=None):
 _MAX_TERMS = 10 ** 7
 
 
-def _truncation_index(parts, z, dps):
-    """Smallest N with the series tail below 10^-dps, for 0 < z < 1.
+def _truncation_index(r, z, dps):
+    """Smallest N with the tail of a depth-r series below 10^-(dps+1),
+    for 0 < z < 1.
 
-    The inner sums are bounded by k^(depth-1), so the tail after N is at
+    The inner sums are bounded by k^(r-1), so the tail after N is at
     most (N+1)^(r-1) z^(N+1) (r-1)! / (1-z)^r.  More than _MAX_TERMS terms
     raise ValueError before any summation.
     """
-    r = len(parts)
     p, q = z.numerator, z.denominator
     # -log10(z) from the ints, and near 1 from 1 - z = (q-p)/q: float(z)
     # rounds to 1 there
@@ -242,10 +243,10 @@ def _truncation_index(parts, z, dps):
 # each weighted by 1 + B/256 for a scale of B bits.  On a 2-vCPU host a unit
 # takes 0.11-0.15 us where every level holds B-bit ints (zeta(3,9) at
 # MAX_DIGITS: 1.9e7 units in 2.1 s), and down to 0.04 us for deep words,
-# whose deep levels hold small ints ({2}^100 at 10 digits: a second pass of
-# 2.6e8 units at 335 working digits, 11 s).  So the cap is about 10 s of
-# summing for shallow words and about 3 s for deep ones.  The largest
-# request of weight <= 12, (1,1,1,1,1,7) at MAX_DIGITS, takes 2.3e7.
+# whose deep levels hold small ints ({2}^100 at 10 digits would take 2.6e8
+# units at 335 working digits, 11 s).  So the cap is about 10 s of summing
+# for shallow words and about 3 s for deep ones.  The largest request of
+# weight <= 12, (1,1,1,1,1,7) at MAX_DIGITS, takes 2.3e7.
 MAX_KERNEL_WORK = 7 * 10 ** 7
 
 
@@ -266,7 +267,7 @@ def _check_kernel_work(series, z, dps):
     for parts in series:
         r = len(parts)
         if r not in terms:
-            terms[r] = _truncation_index(parts, z, dps)
+            terms[r] = _truncation_index(r, z, dps)
         steps += terms[r] * r
     work = steps * (256 + _scale_bits(dps)) // 256
     if work > MAX_KERNEL_WORK:
@@ -333,7 +334,7 @@ def _polylog_raw(parts, z, dps):
     bits = _scale_bits(dps)
     if not parts:
         return 1 << bits
-    n = _truncation_index(parts, z, dps)
+    n = _truncation_index(len(parts), z, dps)
     extra = ((len(parts) + 1 + z.denominator) * n).bit_length()
     return _polylog_fixed(parts, z, bits + extra, n) >> extra
 
@@ -347,11 +348,18 @@ def _polylog_half(parts, dps):
     return _polylog_raw(parts, Fraction(1, 2), dps)
 
 
-def _decimal_exponent(n):
-    """floor(log10 n) for an int n >= 1, counted from below, as
-    0.30102 < log10 2."""
-    e = (n.bit_length() - 1) * 30102 // 100000
-    while 10 ** (e + 1) <= n:
+def _first_term_zeros(parts, z):
+    """floor(-log10 t1) for the first term t1 = z^r / prod_(i<=r) i^(n_i)
+    of Li_parts(z) at a Fraction or int z in (0, 1]: since t1 bounds the
+    sum from below, this bounds the value's leading zero digits from above.
+
+    Exact from ints, as floor(log10 floor(1/t1)) counted up from below,
+    because 0.30102 < log10 2."""
+    r = len(parts)
+    inverse = (z.denominator ** r * math.prod(i ** n for i, n in enumerate(parts, 1))
+               // z.numerator ** r)
+    e = (inverse.bit_length() - 1) * 30102 // 100000
+    while 10 ** (e + 1) <= inverse:
         e += 1
     return e
 
@@ -375,13 +383,9 @@ def multiple_polylog(comp, z, digits):
     if zq == 1:
         return mzv_eval(comp, digits)
     digits = integer_in(digits, "digits", 1, MAX_DIGITS)
-    # The first term t1 = z^r / prod_(i<=r) i^(n_i) bounds the sum from
-    # below, so floor(-log10 t1) = floor(log10 floor(1/t1)) more working
-    # digits make the error relative
-    inverse = (zq.denominator ** comp.depth
-               * math.prod(i ** n for i, n in enumerate(comp.parts, 1))
-               // zq.numerator ** comp.depth)
-    dps = digits + GUARD + _decimal_exponent(inverse)
+    # one more working digit per leading zero of the first term makes the
+    # error relative
+    dps = digits + GUARD + _first_term_zeros(comp.parts, zq)
     _check_kernel_work([comp.parts], zq, dps)
     # mpf reads an (int, exponent) pair exactly and rounds it once
     return BigReal((_polylog_raw(comp.parts, zq, dps), -_scale_bits(dps)), digits)
@@ -396,17 +400,6 @@ def _path_halves(letters):
             for k in range(len(letters) + 1)]
 
 
-def _path_split_sum(letters, dps):
-    """The value of a convergent binary word as an int scaled by
-    2^(2 _scale_bits(dps)), less than 4 units of 2^-_scale_bits(dps) below
-    it (see ``mzv_eval``).  Work above MAX_KERNEL_WORK raises ValueError
-    before any half is summed."""
-    halves = _path_halves(letters)
-    _check_kernel_work(chain.from_iterable(halves), Fraction(1, 2), dps)
-    return sum(_polylog_half(lower, dps) * _polylog_half(upper, dps)
-               for lower, upper in halves)
-
-
 def mzv_eval(comp, digits):
     """Evaluate a convergent multiple zeta value to the requested digits.
 
@@ -418,33 +411,32 @@ def mzv_eval(comp, digits):
     of 2^-B below the product of the truncated halves; the sum is rounded
     to digits once.
 
-    The digits are relative.  At digits + GUARD working digits, a value
-    above 10^-(GUARD+1) is known to better than 10^-(digits+3) of itself.
-    A value with L > GUARD leading zero digits after the point is summed
-    once more at L more working digits, which keeps its relative error
-    below 10^-(digits+GUARD+3).  L is counted from the first sum, or from
-    the first series term 1/prod_(i<=r) i^(n_i), whichever is the larger:
-    both lie below the value.  No word of weight <= 12 takes that second
-    sum: the smallest value of weight 12, zeta(1,1,1,1,1,7), is about 1.9e-7.
-    More than MAX_DIGITS digits raise ValueError before any summation, and a
-    sum, the second one included, that would take more than MAX_KERNEL_WORK
-    weighted kernel steps raises it before that sum: ({2}^200) at 10 digits
-    is refused at once, ({2}^100) after its first sum.
+    The digits are relative.  The working digits dps are set once, before
+    the one sum: digits + GUARD, plus the first series term's leading zeros
+    L = floor(-log10 (1/prod_(i<=r) i^(n_i))) when L > GUARD.  Each half's
+    tail is below 10^-(dps+1), so over the w + 1 splits of a weight-w word
+    the sum is below the value by less than 0.21 (w+1) 10^-dps, and since
+    the value is above 10^-(L+1), the relative error is below
+    2.1 (w+1) 10^-(dps-L).  Every word of weight <= 12 has L <= 8, so its
+    relative error is below 0.3 * 10^-digits; past the threshold it is
+    below 2.1 (w+1) 10^-(digits+GUARD).  More than MAX_DIGITS digits raise
+    ValueError before any summation, as does a sum that would take more
+    than MAX_KERNEL_WORK weighted kernel steps at dps: ({2}^100) and
+    ({2}^200) at 10 digits are refused at once.
     """
     comp = comp if isinstance(comp, Composition) else Composition(comp)
     if not comp.is_convergent:
         raise ValueError("%s diverges; regularize before evaluating" % (comp,))
     digits = integer_in(digits, "digits", 1, MAX_DIGITS)
-    dps = digits + GUARD
-    letters = comp.to_binary().letters
-    total = _path_split_sum(letters, dps)
-    inverse = math.prod(i ** n for i, n in enumerate(comp.parts, 1))
-    if total:
-        inverse = min(inverse, (1 << 2 * _scale_bits(dps)) // total)
-    lead = _decimal_exponent(inverse)
-    if lead > GUARD:
-        dps += lead
-        total = _path_split_sum(letters, dps)
+    # Up to GUARD leading zeros every word sums at digits + GUARD, so words
+    # share their halves in the _polylog_half cache: in the 40-digit sweep
+    # of the 256 weight-10 words, 4,864 of 5,632 lookups hit.
+    zeros = _first_term_zeros(comp.parts, 1)
+    dps = digits + GUARD + (zeros if zeros > GUARD else 0)
+    halves = _path_halves(comp.to_binary().letters)
+    _check_kernel_work(chain.from_iterable(halves), Fraction(1, 2), dps)
+    total = sum(_polylog_half(lower, dps) * _polylog_half(upper, dps)
+                for lower, upper in halves)
     return BigReal((total, -2 * _scale_bits(dps)), digits)
 
 

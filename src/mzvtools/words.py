@@ -232,11 +232,9 @@ def parse_composition(text):
 
 
 def parse_binary_word(text):
-    """Parse a string over {0,1} (empty string allowed) into a BinaryWord."""
-    s = text.strip()
-    if any(ch not in "01" for ch in s):
-        raise ValueError("binary word literal must use only 0 and 1, got %r" % (text,))
-    return BinaryWord(s)
+    """Parse a string over {0,1} (empty string allowed) into a BinaryWord;
+    ``BinaryWord`` refuses any other character with ValueError."""
+    return BinaryWord(text.strip())
 
 
 def parse_generic_word(text):

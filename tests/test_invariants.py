@@ -161,7 +161,7 @@ def test_refusals_and_faults_fire_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "digits must be an integer between 1 and 2000, got 2.5",
-        "summing at 20 working digits would take 280192112 weighted level steps, "
+        "summing at 769 working digits would take 4788289203 weighted level steps, "
         "more than the cap MAX_KERNEL_WORK = 70000000",
         "binary word letters must be 0 or 1, got 1.7",
         "samples must be an integer between 2 and 1000000000, got 1000000000000",

@@ -18,8 +18,8 @@ from mzvtools import (BigReal, Composition, bernoulli, enumerate_compositions,
                       numerics, zeta_euler_maclaurin, zeta_even_closed_form)
 from mzvtools.errors import InvariantError
 from mzvtools.numerics import (GUARD, MAX_DIGITS, MAX_HYPERCUBE_SAMPLES, MAX_KERNEL_WORK,
-                               _check_kernel_work, _path_halves, _polylog_fixed,
-                               _polylog_raw, _scale_bits, _truncation_index,
+                               _check_kernel_work, _first_term_zeros, _path_halves,
+                               _polylog_fixed, _polylog_raw, _scale_bits, _truncation_index,
                                hypercube_integrand, monte_carlo)
 
 # The largest Euler-Maclaurin cutoff, which bounds the Bernoulli index too
@@ -380,7 +380,7 @@ def test_half_path_kernel_matches_the_mpf_oracle(digits, max_weight):
     dps = digits + GUARD
     bits = _scale_bits(dps)
     words = all_compositions(max_weight)
-    ns = {parts: _truncation_index(parts, HALF, dps) for parts in words}
+    ns = {parts: _truncation_index(len(parts), HALF, dps) for parts in words}
     cols = polylog_columns_oracle(words, max(ns.values()), dps + 20)
     with mp.workdps(dps + 20):
         unit = mpf(2) ** -bits
@@ -485,29 +485,33 @@ def test_mzv_digits_are_relative_for_tiny_values(parts, digits, closed_form):
     assert mzv_eval(parts, digits).nstr() == expected
 
 
-def test_mzv_sums_once_more_only_past_the_guard(monkeypatch):
-    # a value below 10^-(GUARD+1) takes a second sum with one more working
-    # digit per leading zero; the smallest weight-12 value, about 1.9e-7,
-    # takes none
+def test_mzv_sums_once_at_the_first_term_precision(monkeypatch):
+    # the working digits are set before the one sum, two half lookups per
+    # split: digits + GUARD, plus one per leading zero of the first term
+    # 1/prod_(i<=r) i^(n_i) when they exceed GUARD
     precisions = []
-    split = numerics._path_split_sum
-    monkeypatch.setattr(numerics, "_path_split_sum",
-                        lambda letters, dps: precisions.append(dps) or split(letters, dps))
-    mzv_eval((1, 1, 1, 1, 1, 7), 20)
-    assert precisions == [20 + GUARD]
+    half = numerics._polylog_half
+    monkeypatch.setattr(numerics, "_polylog_half",
+                        lambda parts, dps: precisions.append(dps) or half(parts, dps))
+    mzv_eval((1, 1, 1, 1, 1, 7), 20)  # first term 1/(5! 6^7): 7 zeros
+    assert precisions == [20 + GUARD] * 2 * 13
     precisions.clear()
-    mzv_eval((2,) * 13, 15)  # 7.7e-16: 15 leading zeros
-    assert precisions == [15 + GUARD, 15 + GUARD + 15]
+    mzv_eval((2,) * 13, 15)  # first term 1/(13!)^2: 19 zeros
+    assert precisions == [15 + GUARD + 19] * 2 * 27
 
 
 def test_deep_words_are_refused_before_summing(monkeypatch):
-    # ({2}^100) at 10 digits took 12 s, and each doubling of the depth cost
-    # about 12 times more
+    # summing ({2}^100) at 10 digits would take about 11 s, and each doubling
+    # of the depth costs about 12 times more; a word is refused at the
+    # precision it would sum at, before any half is summed
     kernel = []
     monkeypatch.setattr(numerics, "_polylog_fixed", lambda *args: kernel.append(args))
     cap = "more than the cap MAX_KERNEL_WORK = %d" % MAX_KERNEL_WORK
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="summing at 20 working digits .* " + cap):
+    with pytest.raises(ValueError, match="summing at 335 working digits .* " + cap):
+        mzv_eval((2,) * 100, 10)
+    with pytest.raises(ValueError, match="summing at 769 working digits would take "
+                                         "4788289203 weighted level steps, " + cap):
         mzv_eval((2,) * 200, 10)
     with pytest.raises(ValueError, match=cap):
         multiple_polylog((2,) * 400, HALF, 10)
@@ -517,9 +521,11 @@ def test_deep_words_are_refused_before_summing(monkeypatch):
 
 def test_every_word_through_weight_twelve_stays_below_the_work_cap():
     # so no word of the test suite or the benchmark sessions is refused:
-    # the work grows with the digits, and none of them takes a second sum
+    # the work grows with the digits, and every word sums at digits + GUARD,
+    # so the words at one precision share their halves in the cache
     for weight in range(2, 13):
         for comp in enumerate_compositions(weight, convergent_only=True):
+            assert _first_term_zeros(comp.parts, 1) <= GUARD, comp
             halves = _path_halves(comp.to_binary().letters)
             _check_kernel_work(chain.from_iterable(halves), HALF, MAX_DIGITS + GUARD)
 
@@ -528,7 +534,8 @@ def test_zagier_weight_27_depth_13_at_1000_digits():
     # Zagier (Annals 175, 2012), in the index order of this package:
     # (2^a, 3, 2^b) = 2 sum_{r=1}^{K} (-1)^r [C(2r, 2a+2) - (1 - 2^-2r) C(2r, 2b+1)]
     #                   * pi^(2(K-r)) / (2(K-r)+1)! * zeta(2r+1), with K = a+b+1;
-    # both of its sums stay below MAX_KERNEL_WORK
+    # its one sum, at 1000 + GUARD + 20 working digits for the first term
+    # 1/(5 (13!)^2), stays below MAX_KERNEL_WORK
     a, b = 4, 8
     k = a + b + 1
     with mp.workdps(1030):

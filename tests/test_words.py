@@ -160,7 +160,7 @@ def test_parser_errors():
         parse_composition("(1,2")
     with pytest.raises(ValueError):
         parse_composition("1,2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got '2'"):
         parse_binary_word("102")
     for text in ("f3..f5", "f3.", ".", ".f5"):
         with pytest.raises(ValueError, match="empty letter"):
