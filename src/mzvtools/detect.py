@@ -34,6 +34,12 @@ from .numerics import GUARD, BigReal
 
 SLACK = 5
 _DELTA = Fraction(3, 4)
+# The most lattice work, m^4 digits^2 for m values, that detect reduces.
+# On a 2-vCPU host a unit takes 2.8-3.7 ns from 10 values at 400 digits up
+# (14 values at 400 digits: 6.2e9, 17 s) and up to 9 ns for small lattices,
+# so the cap is about 20 s; the README's (1,11) example, 13 values at 420
+# digits, takes 5.0e9.
+MAX_LATTICE_WORK = 6 * 10 ** 9
 
 
 def _gram_schmidt_row(b, k, mu, norms):
@@ -145,8 +151,9 @@ def detect(xs, digits=None, height_bound=10 ** 6):
     working precision); ``digits`` defaults to the smallest precision among
     the inputs.  Needs digits >= 20 + log10(height_bound) * len(xs), else
     the lattice cannot separate true relations from noise and a ValueError
-    is raised, as it is for non-integral digits or height bound and for a
-    height bound below 1.
+    is raised, as it is for non-integral digits or height bound, for a
+    height bound below 1 and, before any reduction, for a lattice whose
+    work m^4 digits^2 exceeds MAX_LATTICE_WORK.
     """
     if not 2 <= len(xs) <= 50:
         raise ValueError("detect needs between 2 and 50 values")
@@ -159,6 +166,11 @@ def detect(xs, digits=None, height_bound=10 ** 6):
         raise ValueError("%d digits is too low: need at least %d for %d values "
                          "at height bound %d" % (digits, math.ceil(needed), m,
                                                  height_bound))
+    if m ** 4 * digits ** 2 > MAX_LATTICE_WORK:
+        raise ValueError("reducing %d values at %d digits would take %d units of "
+                         "lattice work (values^4 digits^2), more than the cap "
+                         "MAX_LATTICE_WORK = %d" % (m, digits, m ** 4 * digits ** 2,
+                                                    MAX_LATTICE_WORK))
     for p in precisions:
         if p < digits:
             raise ValueError("an input carries only %d digits, below the "

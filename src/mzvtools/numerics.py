@@ -4,10 +4,12 @@ All routines take a requested precision ``digits`` (decimal) and work
 internally at ``digits + GUARD`` so that the reported digits are trusted;
 results come back as ``BigReal`` values that carry their precision.  More
 than MAX_DIGITS digits, by any route, raise ValueError before any
-summation, as does a polylogarithm sum whose kernel work, its terms times
-its depth weighted by the scale's size, exceeds MAX_KERNEL_WORK.  The
-digits are relative, however small the value: the first series term, a
-lower bound of the value, sets the working digits before the one sum.
+summation, as does a polylogarithm sum, for any z, whose kernel work
+exceeds MAX_KERNEL_WORK: per term, its depth weighted by the scale's size
+plus a constant for the loop, 0.07-0.21 us a unit.  The term counts
+are found once, in that check, and handed to the kernel.  The digits are
+relative, however small the value: the first series term, a lower bound
+of the value, sets the working digits before the one sum.
 The multiple polylogarithms are summed in fixed point: Python ints scaled
 by 2^B, where every truncation is a floor with a stated error bound,
 converted to mpmath once at the end.
@@ -37,6 +39,7 @@ are generated exactly from the integer tangent numbers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -203,24 +206,12 @@ def zeta_euler_maclaurin(s, digits, cutoff=None, correction_terms=None):
     return BigReal(value, digits)
 
 
-# A polylogarithm series that needs more terms than this is refused rather
-# than summed: just below z = 1 the series converges geometrically but slowly.
-# There this cap, not MAX_KERNEL_WORK, is the one that bounds a sum: a term
-# costs far more than the work unit's calibration at z = 1/2 (0.04-0.15 us).
-# Li_2(1 - 10^-5) at 10 digits sums 6,556,942 terms, 8.7e6 weighted units,
-# in 3.8-6.0 s on a 2-vCPU host (0.44-0.69 us per unit), so 10^7 terms take
-# about 6-9 s, while MAX_KERNEL_WORK alone would admit 30-48 s.  Do not
-# merge the two caps on today's unit.
-_MAX_TERMS = 10 ** 7
-
-
-def _truncation_index(r, z, dps):
+def _truncation_index(r, z, dps, limit):
     """Smallest N with the tail of a depth-r series below 10^-(dps+1),
-    for 0 < z < 1.
+    for 0 < z < 1, or None when no N up to ``limit`` will do.
 
     The inner sums are bounded by k^(r-1), so the tail after N is at
-    most (N+1)^(r-1) z^(N+1) (r-1)! / (1-z)^r.  More than _MAX_TERMS terms
-    raise ValueError before any summation.
+    most (N+1)^(r-1) z^(N+1) (r-1)! / (1-z)^r.
     """
     p, q = z.numerator, z.denominator
     # -log10(z) from the ints, and near 1 from 1 - z = (q-p)/q: float(z)
@@ -229,51 +220,43 @@ def _truncation_index(r, z, dps):
              else -math.log1p((p - q) / q) / math.log(10))
     log_fact = math.log10(math.factorial(r - 1))
     log_1mz = math.log10(q - p) - math.log10(q)
-    n = max(8, int(dps / decay) + 4) if decay * _MAX_TERMS > dps else _MAX_TERMS + 1
-    while n <= _MAX_TERMS and ((r - 1) * math.log10(n + 1) - (n + 1) * decay
-                               + log_fact - r * log_1mz > -(dps + 1)):
+    n = max(8, int(dps / decay) + 4) if decay * limit > dps else limit + 1
+    while n <= limit and ((r - 1) * math.log10(n + 1) - (n + 1) * decay
+                          + log_fact - r * log_1mz > -(dps + 1)):
         n += max(4, n // 8)
-    if n > _MAX_TERMS:
-        raise ValueError("%d decimal places of a polylogarithm at z = %s would need "
-                         "more than %d terms" % (dps - GUARD, z, _MAX_TERMS))
-    return n
+    return n if n <= limit else None
 
 
-# Level steps of the fixed-point kernel, one per series term and depth,
-# each weighted by 1 + B/256 for a scale of B bits.  On a 2-vCPU host a unit
-# takes 0.11-0.15 us where every level holds B-bit ints (zeta(3,9) at
-# MAX_DIGITS: 1.9e7 units in 2.1 s), and down to 0.04 us for deep words,
-# whose deep levels hold small ints ({2}^100 at 10 digits would take 2.6e8
-# units at 335 working digits, 11 s).  So the cap is about 10 s of summing
-# for shallow words and about 3 s for deep ones.  The largest request of
-# weight <= 12, (1,1,1,1,1,7) at MAX_DIGITS, takes 2.3e7.
+# Kernel work units: per series term, the depth weighted by 1 + B/256 for a
+# scale of B bits, plus 3 for the loop itself.  On a 2-vCPU host a unit
+# takes 0.07-0.21 us, at z = 1/2 and just below 1, shallow or deep (zeta(3,9)
+# at MAX_DIGITS: 2.0e7 units in 2.2 s), so the cap is about 5-15 s of
+# summing.  Deep words cost less than counted, as their deep levels hold
+# small ints.  The largest request of weight <= 12, (1,1,1,1,1,7) at
+# MAX_DIGITS, takes 2.4e7.
 MAX_KERNEL_WORK = 7 * 10 ** 7
 
 
-def _check_kernel_work(series, z, dps):
-    """ValueError, before any summation, when summing the series of the part
-    tuples ``series`` at z and dps would take more than MAX_KERNEL_WORK
-    weighted level steps: the ``_truncation_index`` terms times the depth
-    of each series, weighted by the scale's size.  Cached values count too,
-    so whether a request is refused depends on the request alone."""
-    # By depth, all the index depends on; an empty half sums nothing.  An
-    # lru_cache on (depth, z, dps) looked up once per half was measured
-    # slower in 4 of 4 in-process pairs: 5,120 Fraction-keyed lookups per
-    # warm sweep of the 256 weight-10 words at 40 digits took it from
-    # 0.015-0.025 s to 0.018-0.037 s.  A cache here has to keep one lookup
-    # per distinct depth.
-    terms = {0: 0}
-    steps = 0
-    for parts in series:
-        r = len(parts)
-        if r not in terms:
-            terms[r] = _truncation_index(r, z, dps)
-        steps += terms[r] * r
-    work = steps * (256 + _scale_bits(dps)) // 256
-    if work > MAX_KERNEL_WORK:
-        raise ValueError("summing at %d working digits would take %d weighted "
-                         "level steps, more than the cap MAX_KERNEL_WORK = %d"
-                         % (dps, work, MAX_KERNEL_WORK))
+def _term_counts(series, z, dps):
+    """The term count of each depth, {depth: N}, for summing the part tuples
+    ``series`` at z and dps, each from ``_truncation_index`` with the terms
+    the cap leaves for that depth.  A sum whose kernel work, cached values
+    included, would exceed MAX_KERNEL_WORK raises ValueError before any
+    summation, so whether a request is refused depends on the request alone.
+    """
+    bits = _scale_bits(dps)
+    terms, work = {0: 0}, 0  # work in 1/256 units
+    for r, count in Counter(map(len, series)).items():
+        if r and work is not None:
+            cost = count * (r * (256 + bits) + 3 * 256)
+            terms[r] = _truncation_index(r, z, dps, MAX_KERNEL_WORK * 256 // cost)
+            work = None if terms[r] is None else work + terms[r] * cost
+    if work is None or work > MAX_KERNEL_WORK * 256:
+        raise ValueError("summing at %d working digits at z = %s would take more "
+                         "kernel work than the cap MAX_KERNEL_WORK = %d%s"
+                         % (dps, z, MAX_KERNEL_WORK,
+                            "" if work is None else " (%d units)" % (work // 256)))
+    return terms
 
 
 def _scale_bits(dps):
@@ -320,21 +303,20 @@ def _polylog_fixed(parts, z, bits, n):
     return total
 
 
-def _polylog_raw(parts, z, dps):
+def _polylog_raw(parts, z, dps, n):
     """Li_{parts}(z) at dps digits as an int scaled by 2^_scale_bits(dps).
 
     ``z`` is an exact Fraction in (0, 1); the scale depends on dps alone,
-    so all values at one precision share it.  The series is cut where its
-    tail drops below 10^-(dps+1) (``_truncation_index``), and the kernel
-    runs enough bits finer that its error bound (``_polylog_fixed``) is
-    below one unit of the shared scale; the final shift loses less than
-    one more.  The result is therefore below the truncated sum by less
+    so all values at one precision share it.  The series is cut after the
+    n terms that ``_term_counts`` found, where its tail is below
+    10^-(dps+1), and the kernel runs enough bits finer that its error bound
+    (``_polylog_fixed``) is below one unit of the shared scale; the final
+    shift loses less than one more.  The result is therefore below the truncated sum by less
     than 2 units.
     """
     bits = _scale_bits(dps)
     if not parts:
         return 1 << bits
-    n = _truncation_index(len(parts), z, dps)
     extra = ((len(parts) + 1 + z.denominator) * n).bit_length()
     return _polylog_fixed(parts, z, bits + extra, n) >> extra
 
@@ -344,8 +326,8 @@ def _polylog_raw(parts, z, dps):
 # benchmark session; a sweep over every convergent weight-12 word needs
 # 3,072.
 @lru_cache(maxsize=2 ** 12)
-def _polylog_half(parts, dps):
-    return _polylog_raw(parts, Fraction(1, 2), dps)
+def _polylog_half(parts, dps, n):
+    return _polylog_raw(parts, Fraction(1, 2), dps, n)
 
 
 def _first_term_zeros(parts, z):
@@ -373,8 +355,8 @@ def multiple_polylog(comp, z, digits):
     series is summed, divergent compositions (last part 1) included, since
     convergence is geometric.  The digits are relative for every z.  A raw
     tuple goes through ``Composition``, so parts below 1 raise ValueError,
-    as do more than MAX_DIGITS digits and a series that would take more than
-    MAX_KERNEL_WORK weighted kernel steps.
+    as do more than MAX_DIGITS digits and a series that would take more
+    kernel work than MAX_KERNEL_WORK, just below z = 1 included.
     """
     comp = comp if isinstance(comp, Composition) else Composition(comp)
     zq = Fraction(z)  # exact for int, Fraction and (dyadic) float inputs
@@ -386,9 +368,9 @@ def multiple_polylog(comp, z, digits):
     # one more working digit per leading zero of the first term makes the
     # error relative
     dps = digits + GUARD + _first_term_zeros(comp.parts, zq)
-    _check_kernel_work([comp.parts], zq, dps)
+    n = _term_counts([comp.parts], zq, dps)[len(comp.parts)]
     # mpf reads an (int, exponent) pair exactly and rounds it once
-    return BigReal((_polylog_raw(comp.parts, zq, dps), -_scale_bits(dps)), digits)
+    return BigReal((_polylog_raw(comp.parts, zq, dps, n), -_scale_bits(dps)), digits)
 
 
 def _path_halves(letters):
@@ -413,30 +395,30 @@ def mzv_eval(comp, digits):
 
     The digits are relative.  The working digits dps are set once, before
     the one sum: digits + GUARD, plus the first series term's leading zeros
-    L = floor(-log10 (1/prod_(i<=r) i^(n_i))) when L > GUARD.  Each half's
-    tail is below 10^-(dps+1), so over the w + 1 splits of a weight-w word
-    the sum is below the value by less than 0.21 (w+1) 10^-dps, and since
-    the value is above 10^-(L+1), the relative error is below
-    2.1 (w+1) 10^-(dps-L).  Every word of weight <= 12 has L <= 8, so its
-    relative error is below 0.3 * 10^-digits; past the threshold it is
-    below 2.1 (w+1) 10^-(digits+GUARD).  More than MAX_DIGITS digits raise
-    ValueError before any summation, as does a sum that would take more
-    than MAX_KERNEL_WORK weighted kernel steps at dps: ({2}^100) and
-    ({2}^200) at 10 digits are refused at once.
+    L = floor(-log10 (1/prod_(i<=r) i^(n_i))) when L > GUARD - 2.  Each
+    half's tail is below 10^-(dps+1), so over the w + 1 splits of a weight-w
+    word the sum is below the value by less than 0.21 (w+1) 10^-dps, and
+    since the value is above 10^-(L+1), the relative error is below
+    2.1 (w+1) 10^-(dps-L): below 2.1 (w+1) 10^-(digits+2) up to the
+    threshold and 2.1 (w+1) 10^-(digits+GUARD) past it.  Every word of
+    weight <= 12 has L <= 8, so its relative error is below 0.3 * 10^-digits.
+    More than MAX_DIGITS digits raise ValueError before any summation, as
+    does a sum that would take more kernel work than MAX_KERNEL_WORK at dps:
+    ({2}^100) and ({2}^200) at 10 digits are refused at once.
     """
     comp = comp if isinstance(comp, Composition) else Composition(comp)
     if not comp.is_convergent:
         raise ValueError("%s diverges; regularize before evaluating" % (comp,))
     digits = integer_in(digits, "digits", 1, MAX_DIGITS)
-    # Up to GUARD leading zeros every word sums at digits + GUARD, so words
-    # share their halves in the _polylog_half cache: in the 40-digit sweep
-    # of the 256 weight-10 words, 4,864 of 5,632 lookups hit.
+    # Up to GUARD - 2 leading zeros every word sums at digits + GUARD, so
+    # words share their halves in the _polylog_half cache: in the 40-digit
+    # sweep of the 256 weight-10 words, 4,864 of 5,632 lookups hit.
     zeros = _first_term_zeros(comp.parts, 1)
-    dps = digits + GUARD + (zeros if zeros > GUARD else 0)
+    dps = digits + GUARD + (zeros if zeros > GUARD - 2 else 0)
     halves = _path_halves(comp.to_binary().letters)
-    _check_kernel_work(chain.from_iterable(halves), Fraction(1, 2), dps)
-    total = sum(_polylog_half(lower, dps) * _polylog_half(upper, dps)
-                for lower, upper in halves)
+    n = _term_counts(chain.from_iterable(halves), Fraction(1, 2), dps)
+    total = sum(_polylog_half(lower, dps, n[len(lower)])
+                * _polylog_half(upper, dps, n[len(upper)]) for lower, upper in halves)
     return BigReal((total, -2 * _scale_bits(dps)), digits)
 
 

@@ -3,9 +3,11 @@ recovered with exact coefficient vectors, soundness re-checks at doubled
 precision, and no-relation behavior on random inputs."""
 
 import hashlib
+import importlib
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from mpmath import mp, mpf
 from mzvtools import (BigReal, Composition, decompose_in_hoffman_basis, detect,
                       lll_reduce, mzv_eval)
 from mzvtools.cli import main
-from mzvtools.detect import _DELTA, _gram_schmidt_row
+from mzvtools.detect import _DELTA, MAX_LATTICE_WORK, _gram_schmidt_row
 from mzvtools.relations import is_hoffman
 from mzvtools.words import enumerate_compositions
 
@@ -340,6 +342,31 @@ def test_inputs_below_requested_precision_rejected():
     xs = [mzv_eval(Composition((1, 2)), 25), mzv_eval(Composition((3,)), 60)]
     with pytest.raises(ValueError):
         detect(xs, 60)
+
+
+def test_fraction_and_mpf_inputs_carry_the_working_precision():
+    # a Fraction or raw mpf is trusted to mp.dps digits, too few by default
+    xs = [Fraction(2, 3), mpf(1) / 3]
+    with pytest.raises(ValueError, match="15 digits is too low"):
+        detect(xs)
+    with mp.workdps(60):
+        result = detect([Fraction(2, 3), mpf(1) / 3])
+    assert (result.coefficients, result.digits) == ((1, -2), 60)
+
+
+def test_lattices_past_the_work_cap_are_refused_before_reduction(monkeypatch):
+    # 50 values at 2000 digits would reduce for hours; the README's (1,11)
+    # example, 13 values at 420 digits, stays below the cap
+    monkeypatch.setattr(importlib.import_module("mzvtools.detect"), "lll_reduce", None)
+    with mp.workdps(2000):
+        xs = [BigReal(mp.sqrt(k), 2000) for k in range(2, 52)]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="reducing 50 values at 2000 digits would take "
+                       "25000000000000 units of lattice work .* MAX_LATTICE_WORK = %d"
+                       % MAX_LATTICE_WORK):
+        detect(xs)
+    assert time.perf_counter() - start < 0.1
+    assert 13 ** 4 * 420 ** 2 <= MAX_LATTICE_WORK
 
 
 def test_needs_at_least_two_inputs():

@@ -136,7 +136,8 @@ for refused in [lambda: mzv_eval((2,), 2.5),
                 lambda: mzv_eval((2,) * 200, 10),
                 lambda: BinaryWord([1.7, 0]),
                 lambda: hypercube_zeta2(10 ** 12),
-                lambda: multiple_polylog((2,), 1 - Fraction(1, 10 ** 9), 30)]:
+                lambda: multiple_polylog((2,), 1 - Fraction(1, 10 ** 9), 30),
+                lambda: multiple_polylog((2,), 1 - Fraction(1, 10 ** 400), 10)]:
     try:
         refused()
     except ValueError as exc:
@@ -161,10 +162,12 @@ def test_refusals_and_faults_fire_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "digits must be an integer between 1 and 2000, got 2.5",
-        "summing at 769 working digits would take 4788289203 weighted level steps, "
-        "more than the cap MAX_KERNEL_WORK = 70000000",
+        "summing at 769 working digits at z = 1/2 would take more kernel work than the cap "
+        "MAX_KERNEL_WORK = 70000000 (4799554227 units)",
         "binary word letters must be 0 or 1, got 1.7",
         "samples must be an integer between 2 and 1000000000, got 1000000000000",
-        "30 decimal places of a polylogarithm at z = 999999999/1000000000 would need "
-        "more than 10000000 terms",
+        "summing at 40 working digits at z = 999999999/1000000000 would take more kernel "
+        "work than the cap MAX_KERNEL_WORK = 70000000",
+        "summing at 20 working digits at z = %s/1%s would take more kernel work than the "
+        "cap MAX_KERNEL_WORK = 70000000" % ("9" * 400, "0" * 400),
         "deletion-contraction disagrees with the matrix-tree count"]

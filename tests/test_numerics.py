@@ -18,8 +18,8 @@ from mzvtools import (BigReal, Composition, bernoulli, enumerate_compositions,
                       numerics, zeta_euler_maclaurin, zeta_even_closed_form)
 from mzvtools.errors import InvariantError
 from mzvtools.numerics import (GUARD, MAX_DIGITS, MAX_HYPERCUBE_SAMPLES, MAX_KERNEL_WORK,
-                               _check_kernel_work, _first_term_zeros, _path_halves,
-                               _polylog_fixed, _polylog_raw, _scale_bits, _truncation_index,
+                               _first_term_zeros, _path_halves, _polylog_fixed,
+                               _polylog_raw, _scale_bits, _term_counts, _truncation_index,
                                hypercube_integrand, monte_carlo)
 
 # The largest Euler-Maclaurin cutoff, which bounds the Bernoulli index too
@@ -264,7 +264,7 @@ def test_polylog_keeps_its_working_digits_when_the_first_term_is_large(monkeypat
     precisions = []
     raw = numerics._polylog_raw
     monkeypatch.setattr(numerics, "_polylog_raw",
-                        lambda parts, z, dps: precisions.append(dps) or raw(parts, z, dps))
+                        lambda parts, z, dps, n: precisions.append(dps) or raw(parts, z, dps, n))
     multiple_polylog((1,), HALF, 20)
     multiple_polylog((1, 2), HALF, 20)
     multiple_polylog((2,), Fraction(1, 10 ** 30), 20)
@@ -322,15 +322,25 @@ def test_polylog_divergent_word_fine_below_one():
         assert abs(v.value - mp.log(2)) < mpf(10) ** -28
 
 
-def test_polylog_z_one_precision_cap():
-    # at z = 1 the value comes from the path split, with no term cap
+def test_polylog_z_one_precision_cap(monkeypatch):
+    # at z = 1 the value comes from the path split, with no series
     assert (multiple_polylog(Composition((2,)), 1, 40).nstr()
             == mzv_eval((2,), 40).nstr())
-    # just below 1 the series converges too slowly: these asked for
-    # 8.7e7 and 9.8e10 terms, and the last failed in a float logarithm
-    for z in [1 - Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 9), 1 - Fraction(1, 2 ** 60)]:
-        with pytest.raises(ValueError, match="would need more than 10000000 terms"):
+    # just below 1 the series converges too slowly: these ask for 8.7e7
+    # and 9.8e10 terms, the third once failed in a float logarithm, and at
+    # the last -log10(z) underflows to 0; the one work cap refuses them all
+    # before any term is summed
+    kernel = []
+    monkeypatch.setattr(numerics, "_polylog_fixed", lambda *args: kernel.append(args))
+    for z in [1 - Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 9), 1 - Fraction(1, 2 ** 60),
+              1 - Fraction(1, 10 ** 400)]:
+        with pytest.raises(ValueError, match=r"summing at 40 working digits at z = %s would "
+                           r"take more kernel work than the cap MAX_KERNEL_WORK = %d$"
+                           % (z, MAX_KERNEL_WORK)):
             multiple_polylog(Composition((2,)), z, 30)
+    assert kernel == []
+    # Li_2(1 - 10^-5) at 10 digits, 6,556,942 terms (2.8e7 units), stays below the cap
+    assert _term_counts([(2,)], 1 - Fraction(1, 10 ** 5), 10 + GUARD) == {0: 0, 1: 6556942}
 
 
 # --------------------------------------------- fixed-point polylog kernel
@@ -380,7 +390,7 @@ def test_half_path_kernel_matches_the_mpf_oracle(digits, max_weight):
     dps = digits + GUARD
     bits = _scale_bits(dps)
     words = all_compositions(max_weight)
-    ns = {parts: _truncation_index(len(parts), HALF, dps) for parts in words}
+    ns = {parts: _truncation_index(len(parts), HALF, dps, MAX_KERNEL_WORK) for parts in words}
     cols = polylog_columns_oracle(words, max(ns.values()), dps + 20)
     with mp.workdps(dps + 20):
         unit = mpf(2) ** -bits
@@ -390,7 +400,7 @@ def test_half_path_kernel_matches_the_mpf_oracle(digits, max_weight):
             exact = mp.fdot(cols[parts][:n], weights[:n])
             low = exact / unit - _polylog_fixed(parts, HALF, bits, n)
             assert -1e-6 < low < len(parts) + n, parts
-            low = exact / unit - _polylog_raw(parts, HALF, dps)
+            low = exact / unit - _polylog_raw(parts, HALF, dps, n)
             assert -1e-6 < low < 2, parts
             assert low * unit < mpf(2) ** -15 * mpf(10) ** -dps, parts
 
@@ -488,13 +498,18 @@ def test_mzv_digits_are_relative_for_tiny_values(parts, digits, closed_form):
 def test_mzv_sums_once_at_the_first_term_precision(monkeypatch):
     # the working digits are set before the one sum, two half lookups per
     # split: digits + GUARD, plus one per leading zero of the first term
-    # 1/prod_(i<=r) i^(n_i) when they exceed GUARD
+    # 1/prod_(i<=r) i^(n_i) when they exceed GUARD - 2
     precisions = []
     half = numerics._polylog_half
     monkeypatch.setattr(numerics, "_polylog_half",
-                        lambda parts, dps: precisions.append(dps) or half(parts, dps))
+                        lambda parts, dps, n: precisions.append(dps) or half(parts, dps, n))
     mzv_eval((1, 1, 1, 1, 1, 7), 20)  # first term 1/(5! 6^7): 7 zeros
     assert precisions == [20 + GUARD] * 2 * 13
+    precisions.clear()
+    # 1/(5! 6^11): 10 zeros, which once summed at digits + GUARD, where the
+    # relative bound 2.1 (w+1) 10^-(digits+GUARD-10) exceeds 10^-digits
+    mzv_eval((1, 1, 1, 1, 1, 11), 20)
+    assert precisions == [20 + GUARD + 10] * 2 * 17
     precisions.clear()
     mzv_eval((2,) * 13, 15)  # first term 1/(13!)^2: 19 zeros
     assert precisions == [15 + GUARD + 19] * 2 * 27
@@ -506,14 +521,17 @@ def test_deep_words_are_refused_before_summing(monkeypatch):
     # precision it would sum at, before any half is summed
     kernel = []
     monkeypatch.setattr(numerics, "_polylog_fixed", lambda *args: kernel.append(args))
-    cap = "more than the cap MAX_KERNEL_WORK = %d" % MAX_KERNEL_WORK
+    cap = "would take more kernel work than the cap MAX_KERNEL_WORK = %d" % MAX_KERNEL_WORK
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="summing at 335 working digits .* " + cap):
+    with pytest.raises(ValueError, match="summing at 335 working digits at z = 1/2 " + cap
+                                         + r" \(261189049 units\)$"):
         mzv_eval((2,) * 100, 10)
-    with pytest.raises(ValueError, match="summing at 769 working digits would take "
-                                         "4788289203 weighted level steps, " + cap):
+    with pytest.raises(ValueError, match="summing at 769 working digits at z = 1/2 " + cap
+                                         + r" \(4799554227 units\)$"):
         mzv_eval((2,) * 200, 10)
-    with pytest.raises(ValueError, match=cap):
+    # depth 400 needs more terms than the cap leaves it, so its work is not counted
+    with pytest.raises(ValueError, match="summing at 1878 working digits at z = 1/2 "
+                                         + cap + "$"):
         multiple_polylog((2,) * 400, HALF, 10)
     assert time.perf_counter() - start < 1
     assert kernel == []
@@ -525,9 +543,9 @@ def test_every_word_through_weight_twelve_stays_below_the_work_cap():
     # so the words at one precision share their halves in the cache
     for weight in range(2, 13):
         for comp in enumerate_compositions(weight, convergent_only=True):
-            assert _first_term_zeros(comp.parts, 1) <= GUARD, comp
+            assert _first_term_zeros(comp.parts, 1) <= GUARD - 2, comp
             halves = _path_halves(comp.to_binary().letters)
-            _check_kernel_work(chain.from_iterable(halves), HALF, MAX_DIGITS + GUARD)
+            _term_counts(chain.from_iterable(halves), HALF, MAX_DIGITS + GUARD)
 
 
 def test_zagier_weight_27_depth_13_at_1000_digits():

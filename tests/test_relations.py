@@ -253,6 +253,22 @@ def test_insufficient_relations_error_carries_context():
     assert "(1,3)" in str(err)
 
 
+def test_words_the_rows_do_not_pin_are_refused(monkeypatch):
+    # without its Hoffman rows weight 4 keeps the one row 4*(1,3) - (4):
+    # (1,3) is a pivot that leans on the free non-Hoffman word (4), and
+    # (4) and (1,1,2) are free columns themselves
+    monkeypatch.setattr(relations, "_table",
+                        lambda weight: build_relation_matrix(weight, False, weight))
+    with pytest.raises(InsufficientRelationsError) as exc:
+        decompose_in_hoffman_basis(Composition((1, 3)))
+    assert exc.value.free_words == (Composition((4,)),)
+    for parts in [(4,), (1, 1, 2)]:
+        with pytest.raises(InsufficientRelationsError) as exc:
+            decompose_in_hoffman_basis(Composition(parts))
+        assert exc.value.free_words == (Composition(parts),)
+    assert decompose_in_hoffman_basis(Composition((2, 2))) == comp_combo(((2, 2), 1))
+
+
 def _combo_value(combo, digits):
     total = mp.mpf(0)
     for w, c in combo.terms():
