@@ -26,7 +26,7 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .algebra import shuffle, stuffle
-from .detect import detect
+from .detect import check_search, detect
 from .dims import dimension, weight_counts
 from .errors import integer_in
 from .feynman import (Graph, check_match_weight, is_primitive_log_divergent,
@@ -105,6 +105,8 @@ def _build_parser():
                        "for n = 0..N (N <= %d)" % MAX_TABLE)
     group.add_argument("--max", type=int, metavar="N",
                        help="compute exact rank bounds for weights 2..N")
+    p.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT,
+                   help="the largest N that --max accepts")
 
     p = add("hoffman-decompose", "rewrite a convergent word over the Hoffman words")
     p.add_argument("word", help='composition literal like "(1,3)"')
@@ -189,12 +191,12 @@ def _dispatch(args):
                                 r["f_monomials"]))
             return {"table": rows}, lines, None, None
         # fail on a bad N before any table is built, not hours into the run
-        check_weight(args.max, DEFAULT_MAX_WEIGHT)
+        check_weight(args.max, args.max_weight)
         rows = []
         lines = ["weight  2^(n-2)  rank  bound  d_n"]
         for n in range(2, args.max + 1):
-            rank = matrix_rank(relation_table(n))
-            bound = dimension_upper_bound(n)
+            rank = matrix_rank(relation_table(n, args.max_weight))
+            bound = dimension_upper_bound(n, args.max_weight)
             rows.append({"weight": n, "words": 2 ** (n - 2), "rank": rank,
                          "bound": bound, "d": dimension(n)})
             lines.append("%6d %8d %5d %6d %4d"
@@ -220,8 +222,8 @@ def _dispatch(args):
         return obj, ["zeta(%d) = %s" % (args.s, value)], args.digits, None
 
     if cmd == "detect":
-        if len(args.exprs) < 2:
-            raise ValueError("detect needs at least two expressions")
+        # refuse the search before any value is computed
+        check_search(len(args.exprs), args.digits, args.height_bound)
         values = [_mzv_expression(e, args.digits) for e in args.exprs]
         result = detect(values, args.digits, args.height_bound)
         lines = [str(result)]

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 
 from .errors import integer_in
-from .numerics import GUARD, BigReal
+from .numerics import GUARD, MAX_DIGITS, BigReal
 
 SLACK = 5
 _DELTA = Fraction(3, 4)
@@ -144,23 +144,21 @@ def _as_mpf(x):
     return mpf(x), mp.dps
 
 
-def detect(xs, digits=None, height_bound=10 ** 6):
-    """Search for small integers c with sum c_i x_i = 0.
+def check_search(m, digits, height_bound):
+    """The checks on a search for relations among m values at the given
+    digits and height bound, made before any value is computed; returns
+    (digits, height_bound) as ints.
 
-    ``xs`` holds BigReal values (or raw mpf/floats, trusted to the current
-    working precision); ``digits`` defaults to the smallest precision among
-    the inputs.  Needs digits >= 20 + log10(height_bound) * len(xs), else
-    the lattice cannot separate true relations from noise and a ValueError
-    is raised, as it is for non-integral digits or height bound, for a
-    height bound below 1 and, before any reduction, for a lattice whose
-    work m^4 digits^2 exceeds MAX_LATTICE_WORK.
+    ValueError unless 2 <= m <= 50, unless the height bound is an integer
+    of at least 1 and the digits an integer from 1 to MAX_DIGITS, unless
+    digits >= 20 + log10(height_bound) * m (below that the lattice cannot
+    separate true relations from noise), and when the lattice work
+    m^4 digits^2 exceeds MAX_LATTICE_WORK.
     """
-    if not 2 <= len(xs) <= 50:
+    if not 2 <= m <= 50:
         raise ValueError("detect needs between 2 and 50 values")
     height_bound = integer_in(height_bound, "height_bound", 1)
-    m = len(xs)
-    values, precisions = zip(*map(_as_mpf, xs))
-    digits = integer_in(min(precisions) if digits is None else digits, "digits", 1)
+    digits = integer_in(digits, "digits", 1, MAX_DIGITS)
     needed = 20 + math.log10(height_bound) * m
     if digits < needed:
         raise ValueError("%d digits is too low: need at least %d for %d values "
@@ -171,6 +169,22 @@ def detect(xs, digits=None, height_bound=10 ** 6):
                          "lattice work (values^4 digits^2), more than the cap "
                          "MAX_LATTICE_WORK = %d" % (m, digits, m ** 4 * digits ** 2,
                                                     MAX_LATTICE_WORK))
+    return digits, height_bound
+
+
+def detect(xs, digits=None, height_bound=10 ** 6):
+    """Search for small integers c with sum c_i x_i = 0.
+
+    ``xs`` holds BigReal values (or raw mpf/floats, trusted to the current
+    working precision); ``digits`` defaults to the smallest precision among
+    the inputs.  The request is refused with a ValueError, before any
+    reduction, where ``check_search`` refuses it, and when an input carries
+    fewer digits than requested.
+    """
+    m = len(xs)
+    values, precisions = zip(*map(_as_mpf, xs)) if m else ((), ())
+    digits, height_bound = check_search(
+        m, min(precisions, default=None) if digits is None else digits, height_bound)
     for p in precisions:
         if p < digits:
             raise ValueError("an input carries only %d digits, below the "

@@ -15,8 +15,8 @@ Collecting all such rows at a fixed weight and eliminating exactly yields
 an upper bound 2^(weight-2) - rank for the dimension of the span of that
 weight's zeta values, and the reduced echelon form doubles as a rewriting
 table into the Hoffman words (parts in {2, 3}): the pivot priority visits
-non-Hoffman columns first, so the free columns land on Hoffman words
-whenever the relations allow it.
+non-Hoffman columns first, those with the most parts equal to 1 leading,
+so the free columns land on Hoffman words whenever the relations allow it.
 
 Each weight's matrix is built once per process (``relation_table``), holds
 its rows as {column: int} maps, each named by its product ("double-shuffle
@@ -171,9 +171,25 @@ def _table(weight):
 
 
 def _hoffman_last_priority(basis):
-    """Pivot priority that visits non-Hoffman columns first, each group in
-    canonical order, so free columns land on Hoffman words when possible."""
-    order = sorted(range(len(basis)), key=lambda i: (is_hoffman(basis[i]), i))
+    """Pivot priority that visits non-Hoffman columns first, so free columns
+    land on Hoffman words when possible; among the non-Hoffman columns, those
+    with more parts equal to 1 come first, then canonical order, and the
+    Hoffman columns follow in canonical order.
+
+    The order among non-Hoffman columns does not change the echelon where
+    the bound equals d_N (every weight from 2 to 14).  No Hoffman column is
+    a pivot: its pivot row would be a relation among Hoffman words alone,
+    every row here holds for motivic MZVs, and the motivic Hoffman words are
+    independent (Brown).  So the rank counts non-Hoffman pivots, and a rank
+    of 2^(N-2) - d_N, the number of non-Hoffman columns, makes every one of
+    them a pivot under any Hoffman-last order.  The reduced echelon form of a row space for a
+    fixed pivot set is unique, so the pivot rows are the same; the order
+    only changes the work (at weight 12 the echelon takes about a third of
+    its time in canonical order).  Where the bound exceeds d_N, some
+    non-Hoffman columns stay free, and which ones could depend on this
+    order."""
+    order = sorted(range(len(basis)),
+                   key=lambda i: (is_hoffman(basis[i]), -basis[i].parts.count(1), i))
     return {i: rank for rank, i in enumerate(order)}.__getitem__
 
 

@@ -79,6 +79,19 @@ def test_dims_above_the_cap_fails_before_building(monkeypatch, capsys):
     assert relations._table.cache_info().currsize == 0
 
 
+def test_dims_takes_an_explicit_weight_cap(monkeypatch, capsys):
+    code, out, _ = run(capsys, "dims", "--max", "6", "--max-weight", "6")
+    assert code == 0
+    rows = [l.split() for l in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["2", "3", "4", "5", "6"]
+    assert rows[-1] == ["6", "16", "14", "2", "2"]
+    monkeypatch.setattr(relations, "_table", lru_cache(maxsize=16)(relations._table.__wrapped__))
+    code, out, err = run(capsys, "dims", "--max", "7", "--max-weight", "6")
+    assert (code, out) == (1, "")
+    assert "weight 7 exceeds the cap 6" in err
+    assert relations._table.cache_info().currsize == 0
+
+
 def test_hoffman_decompose(capsys):
     code, out, _ = run(capsys, "hoffman-decompose", "(1,3)")
     assert code == 0
@@ -326,6 +339,18 @@ def test_malformed_word_is_domain_error(capsys):
     code, _, err = run(capsys, "eval", "(1,2")
     assert code == 1
     assert "error:" in err
+
+
+def test_detect_past_the_lattice_cap_exits_one_before_evaluating(monkeypatch, capsys):
+    # 20 words at 2000 digits used to be evaluated for seconds, then refused
+    evaluated = []
+    monkeypatch.setattr(cli, "mzv_eval", lambda *a: evaluated.append(a))
+    words = ["(%d)" % s for s in range(2, 22)]
+    code, out, err = run(capsys, "detect", *words, "--digits", "2000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: reducing 20 values at 2000 digits would take "
+                          "640000000000 units of lattice work")
+    assert evaluated == []
 
 
 def test_zero_denominator_in_a_detect_factor_exits_one(capsys):

@@ -8,7 +8,8 @@ import pytest
 from mzvtools import linalg
 from mzvtools.errors import InvariantError
 from mzvtools.linalg import SparseRREF, bareiss_det
-from mzvtools.relations import _hoffman_last_priority, echelon_form, relation_table
+from mzvtools.relations import (_hoffman_last_priority, echelon_form, is_hoffman,
+                                relation_table)
 
 
 def gauss_rank(rows, n_cols):
@@ -195,6 +196,23 @@ def test_insert_all_leaves_its_input_rows_unchanged():
         before = [dict(row) for row in matrix.rows()]
         SparseRREF(_hoffman_last_priority(matrix.basis)).insert_all(matrix.rows())
         assert list(matrix.rows()) == before
+
+
+def canonical_hoffman_last(basis):
+    """The earlier pivot priority, kept as an oracle: non-Hoffman columns
+    first, each group in canonical order, without the ones-first key."""
+    order = sorted(range(len(basis)), key=lambda i: (is_hoffman(basis[i]), i))
+    return {i: rank for rank, i in enumerate(order)}.__getitem__
+
+
+@pytest.mark.parametrize("weight", range(2, 11))
+def test_ones_first_order_gives_the_canonical_order_echelon(weight):
+    # the bound is d_N here, so every non-Hoffman column is a pivot under
+    # either order and the reduced echelon for that pivot set is unique
+    matrix = relation_table(weight)
+    oracle = SparseRREF(canonical_hoffman_last(matrix.basis))
+    oracle.insert_all(matrix.rows())
+    assert echelon_form(matrix).pivot_rows == oracle.pivot_rows
 
 
 # One-by-one insert is too slow past weight 9, so the echelons of weights 10
