@@ -59,11 +59,6 @@ MAX_DENOMINATOR = 12
 MAX_NUMERATOR = 1000
 ACCEPT_SIGMA = 3.0
 CANDIDATE_DIGITS = 30
-# The largest samples x monomials a period estimate may take: the integrand
-# costs one product pair per monomial per sample, about 2e8 a second on a
-# 2-vCPU host, so the cap is about 10 s of sampling.  W5 (121 trees) at 10^7
-# samples takes 1.21e9.
-MAX_MONOMIAL_SAMPLES = 2 * 10 ** 9
 # Samples per edge-major chunk of a batch in the period integrand: its rows
 # of u and 1 - u and two accumulators stay in cache while every monomial's
 # products are taken.
@@ -292,19 +287,15 @@ def period_monte_carlo(graph, samples, seed=DEFAULT_SEED):
     Chart: the last edge variable is set to 1; the others map to u/(1-u)
     over the unit cube, sampled in batches by ``numerics.monte_carlo``, so
     the estimate depends only on (samples, seed), not on scheduling.  Both
-    are checked before the primitivity scan.  More than
-    MAX_MONOMIAL_SAMPLES samples x monomials of Psi raise ValueError before
-    any sample is drawn.
+    are checked before the primitivity scan.  Each monomial of Psi is one
+    integrand term, so ``monte_carlo`` refuses samples x (edges - 1 +
+    monomials) above its cap before any sample is drawn.
     """
     samples, seed = integer_in(samples, "samples", 2), integer_in(seed, "seed", 0)
     if not is_primitive_log_divergent(graph):
         raise ValueError("%s is not primitive log-divergent; the period "
                          "integral does not converge" % (graph,))
     psi = kirchhoff_polynomial(graph)
-    if samples * len(psi) > MAX_MONOMIAL_SAMPLES:
-        raise ValueError("%d samples x %d monomials of %s exceed the cap "
-                         "MAX_MONOMIAL_SAMPLES = %d"
-                         % (samples, len(psi), graph, MAX_MONOMIAL_SAMPLES))
     n_free = graph.n_edges - 1
     # each monomial's free edges, multiplied as u, and the rest, as 1 - u
     factors = []
@@ -327,7 +318,7 @@ def period_monte_carlo(graph, samples, seed=DEFAULT_SEED):
             np.divide(1.0, phi, out=phi)
         return out
 
-    return monte_carlo(integrand, n_free, samples, seed)
+    return monte_carlo(integrand, n_free, len(psi), samples, seed)
 
 
 def _partitions(total, largest):

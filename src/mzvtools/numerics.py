@@ -207,11 +207,14 @@ def zeta_euler_maclaurin(s, digits, cutoff=None, correction_terms=None):
 
 
 def _truncation_index(r, z, dps, limit):
-    """Smallest N with the tail of a depth-r series below 10^-(dps+1),
-    for 0 < z < 1, or None when no N up to ``limit`` will do.
+    """An N with the tail of a depth-r series below 10^-(dps+1), for
+    0 < z < 1, or None when no N up to ``limit`` will do.
 
     The inner sums are bounded by k^(r-1), so the tail after N is at
-    most (N+1)^(r-1) z^(N+1) (r-1)! / (1-z)^r.
+    most (N+1)^(r-1) z^(N+1) (r-1)! / (1-z)^r.  N is the first value of
+    the search that passes this bound: it starts near dps / -log10(z) and
+    steps by an eighth of N, so it may exceed the smallest N that passes
+    by up to about an eighth.
     """
     p, q = z.numerator, z.denominator
     # -log10(z) from the ints, and near 1 from 1 - z = (q-p)/q: float(z)
@@ -232,8 +235,9 @@ def _truncation_index(r, z, dps, limit):
 # takes 0.07-0.21 us, at z = 1/2 and just below 1, shallow or deep (zeta(3,9)
 # at MAX_DIGITS: 2.0e7 units in 2.2 s), so the cap is about 5-15 s of
 # summing.  Deep words cost less than counted, as their deep levels hold
-# small ints.  The largest request of weight <= 12, (1,1,1,1,1,7) at
-# MAX_DIGITS, takes 2.4e7.
+# small ints.  mzv_eval counts each distinct half once, as its cache sums
+# it once; the largest request of weight <= 12, (1,2,1,1,7) at MAX_DIGITS,
+# takes 2.2e7.
 MAX_KERNEL_WORK = 7 * 10 ** 7
 
 
@@ -416,7 +420,8 @@ def mzv_eval(comp, digits):
     zeros = _first_term_zeros(comp.parts, 1)
     dps = digits + GUARD + (zeros if zeros > GUARD - 2 else 0)
     halves = _path_halves(comp.to_binary().letters)
-    n = _term_counts(chain.from_iterable(halves), Fraction(1, 2), dps)
+    # the _polylog_half cache sums each distinct half once per request
+    n = _term_counts(set(chain.from_iterable(halves)), Fraction(1, 2), dps)
     total = sum(_polylog_half(lower, dps, n[len(lower)])
                 * _polylog_half(upper, dps, n[len(upper)]) for lower, upper in halves)
     return BigReal((total, -2 * _scale_bits(dps)), digits)
@@ -428,22 +433,33 @@ def hypercube_integrand(x, y):
 
 
 _BATCH = 1 << 16
+# Sampling work: per sample, one unit per coordinate drawn and one per term
+# of the integrand.  A unit takes about 6 ns (4-8 ns over runs) on a 2-vCPU
+# host, for the unit square (2 + 1 a sample) and the wheels K4, W4 and W5
+# (5 + 16 to 9 + 121) alike, so the cap is about 12 s of sampling.
+MAX_SAMPLE_WORK = 2 * 10 ** 9
 
 
 def _substream(seed, index):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
 
 
-def monte_carlo(integrand, dimension, samples, seed):
+def monte_carlo(integrand, dimension, terms, samples, seed):
     """Monte-Carlo estimate of an integral over the unit cube of a dimension.
 
     ``integrand`` maps a (count, dimension) array of uniform points to their
-    count values.  The sample budget is split into fixed-size batches, each
-    drawn from its own seed-derived substream, so the combined estimate
-    depends only on (samples, seed) and not on how the batches are
-    scheduled.
+    count values, summing ``terms`` terms per point.  The sample budget is
+    split into fixed-size batches, each drawn from its own seed-derived
+    substream, so the combined estimate depends only on (samples, seed) and
+    not on how the batches are scheduled.  Sampling work
+    samples x (dimension + terms) above MAX_SAMPLE_WORK raises ValueError
+    before any substream is drawn.
     """
     samples, seed = integer_in(samples, "samples", 2), integer_in(seed, "seed", 0)
+    if samples * (dimension + terms) > MAX_SAMPLE_WORK:
+        raise ValueError("%d samples x (%d draws + %d terms per sample) exceed the "
+                         "sampling work cap MAX_SAMPLE_WORK = %d"
+                         % (samples, dimension, terms, MAX_SAMPLE_WORK))
     s1 = 0.0
     s2 = 0.0
     done = 0
@@ -460,15 +476,8 @@ def monte_carlo(integrand, dimension, samples, seed):
     return MonteCarloEstimate(mean, math.sqrt(var / samples), samples, seed)
 
 
-# The most samples hypercube_zeta2 may draw: 10^8 take about 1 s on a
-# 2-vCPU host, so the cap is about 10 s of sampling.
-MAX_HYPERCUBE_SAMPLES = 10 ** 9
-
-
 def hypercube_zeta2(samples, seed=DEFAULT_SEED):
-    """Monte-Carlo estimate of the integral of 1/(1-xy) over the unit square.
-
-    More than MAX_HYPERCUBE_SAMPLES samples raise ValueError before any
-    sample is drawn."""
-    samples = integer_in(samples, "samples", 2, MAX_HYPERCUBE_SAMPLES)
-    return monte_carlo(lambda u: hypercube_integrand(u[:, 0], u[:, 1]), 2, samples, seed)
+    """Monte-Carlo estimate of the integral of 1/(1-xy) over the unit square:
+    two draws and one integrand term a sample, so ``monte_carlo`` refuses
+    more than MAX_SAMPLE_WORK // 3 samples."""
+    return monte_carlo(lambda u: hypercube_integrand(u[:, 0], u[:, 1]), 2, 1, samples, seed)

@@ -163,13 +163,13 @@ def test_feynman_period_refuses_hours_of_sampling_at_once(monkeypatch, capsys):
     # 10^12 samples of K4's 16 monomials would run for about a day
     def sampling(*args):
         raise AssertionError("sampling started")
-    monkeypatch.setattr(feynman, "monte_carlo", sampling)
+    monkeypatch.setattr(numerics, "_substream", sampling)
     start = time.perf_counter()
     code, out, err = run(capsys, "feynman", "period", "V=4; 1-2,1-3,1-4,2-3,2-4,3-4",
                          "--samples", "1e12")
     assert (code, out) == (1, "")
-    assert err.startswith("error: 1000000000000 samples x 16 monomials")
-    assert "MAX_MONOMIAL_SAMPLES" in err
+    assert err.startswith("error: 1000000000000 samples x (5 draws + 16 terms per sample) "
+                          "exceed the sampling work cap MAX_SAMPLE_WORK = 2000000000")
     assert time.perf_counter() - start < 2
 
 

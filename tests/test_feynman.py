@@ -21,8 +21,8 @@ from mpmath import mp, mpf
 from mzvtools import (Composition, Graph, GraphPolynomial, feynman,
                       is_primitive_log_divergent, kirchhoff_polynomial,
                       match_period, mzv_eval, period_monte_carlo,
-                      spanning_tree_count)
-from mzvtools.numerics import monte_carlo
+                      numerics, spanning_tree_count)
+from mzvtools.numerics import MAX_SAMPLE_WORK, monte_carlo
 
 K4 = Graph.parse("V=4; 1-2,1-3,1-4,2-3,2-4,3-4")
 TRIANGLE = Graph.parse("V=3; 1-2,1-3,2-3")
@@ -366,18 +366,26 @@ def test_period_requires_log_divergent_graph():
         period_monte_carlo(TRIANGLE, 100)
 
 
+class Drawn(Exception):
+    """Raised in place of drawing a substream: the request was accepted."""
+
+
 def test_period_cap_refuses_before_any_sample(monkeypatch):
-    # W5 at 10^7 samples, the largest request in use, is 1.21e9 products
-    calls = []
-    monkeypatch.setattr(feynman, "monte_carlo", lambda *args: calls.append(args))
-    period_monte_carlo(wheel(5), 10 ** 7)
-    cap = feynman.MAX_MONOMIAL_SAMPLES
-    period_monte_carlo(wheel(5), cap // 121)
-    assert [args[2] for args in calls] == [10 ** 7, cap // 121]
-    with pytest.raises(ValueError, match="121 monomials .* exceed the cap "
-                       "MAX_MONOMIAL_SAMPLES = %d" % cap):
-        period_monte_carlo(wheel(5), cap // 121 + 1)
-    assert len(calls) == 2
+    # W5 draws 9 coordinates a sample and sums 121 monomials: 15,384,615
+    # samples is the most the cap takes, and 10^7, the largest request in
+    # use, is 1.3e9 units
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(numerics, "_substream", drawn)
+    assert MAX_SAMPLE_WORK // (9 + 121) == 15_384_615
+    for samples in (10 ** 7, 15_384_615):
+        with pytest.raises(Drawn):
+            period_monte_carlo(wheel(5), samples)
+    with pytest.raises(ValueError, match="^15384616 samples x \\(9 draws \\+ 121 terms per "
+                       "sample\\) exceed the sampling work cap MAX_SAMPLE_WORK = %d$"
+                       % MAX_SAMPLE_WORK):
+        period_monte_carlo(wheel(5), 15_384_616)
 
 
 def test_banana_period_is_exactly_one():
@@ -455,17 +463,18 @@ def test_period_integrand_is_bit_identical_to_the_mask_oracle(monkeypatch, graph
     # and an empty 1 - u product
     batches = []
 
-    def recording(integrand, dimension, samples, seed):
+    def recording(integrand, dimension, terms, samples, seed):
         def record(u):
             batches.append(integrand(u))
             return batches[-1]
-        return monte_carlo(record, dimension, samples, seed)
+        return monte_carlo(record, dimension, terms, samples, seed)
 
     monkeypatch.setattr(feynman, "monte_carlo", recording)
     est = period_monte_carlo(graph, samples, seed=5)
     ours = batches.copy()
     batches.clear()
-    oracle = recording(mask_integrand(graph), graph.n_edges - 1, samples, 5)
+    oracle = recording(mask_integrand(graph), graph.n_edges - 1,
+                       len(kirchhoff_polynomial(graph)), samples, 5)
     assert len(ours) == len(batches) == math.ceil(samples / 2 ** 16)
     assert all(np.array_equal(a, b) for a, b in zip(ours, batches))
     assert (est.value, est.stderr) == (oracle.value, oracle.stderr)

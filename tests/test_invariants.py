@@ -163,9 +163,10 @@ def test_refusals_and_faults_fire_under_python_O():
     assert proc.stdout.splitlines() == [
         "digits must be an integer between 1 and 2000, got 2.5",
         "summing at 769 working digits at z = 1/2 would take more kernel work than the cap "
-        "MAX_KERNEL_WORK = 70000000 (4799554227 units)",
+        "MAX_KERNEL_WORK = 70000000 (2399777113 units)",
         "binary word letters must be 0 or 1, got 1.7",
-        "samples must be an integer between 2 and 1000000000, got 1000000000000",
+        "1000000000000 samples x (2 draws + 1 terms per sample) exceed the sampling work "
+        "cap MAX_SAMPLE_WORK = 2000000000",
         "summing at 40 working digits at z = 999999999/1000000000 would take more kernel "
         "work than the cap MAX_KERNEL_WORK = 70000000",
         "summing at 20 working digits at z = %s/1%s would take more kernel work than the "

@@ -17,7 +17,7 @@ from mzvtools import (BigReal, Composition, bernoulli, enumerate_compositions,
                       hypercube_zeta2, multiple_polylog, mzv_eval,
                       numerics, zeta_euler_maclaurin, zeta_even_closed_form)
 from mzvtools.errors import InvariantError
-from mzvtools.numerics import (GUARD, MAX_DIGITS, MAX_HYPERCUBE_SAMPLES, MAX_KERNEL_WORK,
+from mzvtools.numerics import (GUARD, MAX_DIGITS, MAX_KERNEL_WORK, MAX_SAMPLE_WORK,
                                _first_term_zeros, _path_halves, _polylog_fixed,
                                _polylog_raw, _scale_bits, _term_counts, _truncation_index,
                                hypercube_integrand, monte_carlo)
@@ -495,6 +495,24 @@ def test_mzv_digits_are_relative_for_tiny_values(parts, digits, closed_form):
     assert mzv_eval(parts, digits).nstr() == expected
 
 
+SELF_DUAL_FAMILIES = ([("2^%d" % n, (2,) * n, 100) for n in range(1, 14)]
+                      + [("(1,3)^%d" % n, (1, 3) * n, 100) for n in range(1, 7)]
+                      + [("2^13", (2,) * 13, 1000), ("(1,3)^6", (1, 3) * 6, 1000)])
+
+
+@pytest.mark.parametrize("parts,digits", [f[1:] for f in SELF_DUAL_FAMILIES],
+                         ids=["%s-%d" % (f[0], f[2]) for f in SELF_DUAL_FAMILIES])
+def test_self_dual_families_match_their_closed_forms(parts, digits):
+    # zeta({2}^n) = pi^(2n)/(2n+1)! and zeta({1,3}^n) = 2 pi^(4n)/(4n+2)!
+    # (Borwein-Bradley-Broadhurst-Lisonek), to a relative 10^-(digits-1) at
+    # depths 1 to 13 and 2 to 12
+    weight = sum(parts)
+    with mp.workdps(digits + 20):
+        expected = (pi ** weight / mp.factorial(weight + 1) if parts[0] == 2
+                    else 2 * pi ** weight / mp.factorial(weight + 2))
+        assert abs(mzv_eval(parts, digits).value - expected) < mpf(10) ** (1 - digits) * expected
+
+
 def test_mzv_sums_once_at_the_first_term_precision(monkeypatch):
     # the working digits are set before the one sum, two half lookups per
     # split: digits + GUARD, plus one per leading zero of the first term
@@ -524,10 +542,10 @@ def test_deep_words_are_refused_before_summing(monkeypatch):
     cap = "would take more kernel work than the cap MAX_KERNEL_WORK = %d" % MAX_KERNEL_WORK
     start = time.perf_counter()
     with pytest.raises(ValueError, match="summing at 335 working digits at z = 1/2 " + cap
-                                         + r" \(261189049 units\)$"):
+                                         + r" \(130594524 units\)$"):
         mzv_eval((2,) * 100, 10)
     with pytest.raises(ValueError, match="summing at 769 working digits at z = 1/2 " + cap
-                                         + r" \(4799554227 units\)$"):
+                                         + r" \(2399777113 units\)$"):
         mzv_eval((2,) * 200, 10)
     # depth 400 needs more terms than the cap leaves it, so its work is not counted
     with pytest.raises(ValueError, match="summing at 1878 working digits at z = 1/2 "
@@ -618,24 +636,34 @@ def test_hypercube_is_deterministic():
 def test_monte_carlo_refuses_a_bad_sample_count(samples):
     # 2.9 samples used to be truncated to 2; nothing is sampled now
     with pytest.raises(ValueError, match="samples must be an integer >= 2"):
-        monte_carlo(None, 1, samples, 1)
+        monte_carlo(None, 1, 1, samples, 1)
+
+
+class Drawn(Exception):
+    """Raised in place of drawing a substream: the request was accepted."""
 
 
 def test_hypercube_refuses_more_samples_than_its_cap_before_drawing(monkeypatch):
+    # 2 draws + 1 term a sample: 666,666,666 samples is the most the cap takes
     def drawn(*args):
-        raise AssertionError("a substream was drawn")
+        raise Drawn
 
     monkeypatch.setattr(numerics, "_substream", drawn)
+    assert MAX_SAMPLE_WORK // 3 == 666_666_666
+    with pytest.raises(Drawn):
+        hypercube_zeta2(666_666_666)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="^samples must be an integer between 2 and %d, "
-                       "got %d$" % (MAX_HYPERCUBE_SAMPLES, 10 ** 12)):
-        hypercube_zeta2(10 ** 12)
+    for samples in (666_666_667, 10 ** 12):
+        with pytest.raises(ValueError, match="^%d samples x \\(2 draws \\+ 1 terms per sample\\) "
+                           "exceed the sampling work cap MAX_SAMPLE_WORK = %d$"
+                           % (samples, MAX_SAMPLE_WORK)):
+            hypercube_zeta2(samples)
     assert time.perf_counter() - start < 0.5
     # the periods benchmark's request stays well inside the cap
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
 
-    assert 5 * workloads.HYPERCUBE_SAMPLES <= MAX_HYPERCUBE_SAMPLES
+    assert 5 * 3 * workloads.HYPERCUBE_SAMPLES <= MAX_SAMPLE_WORK
 
 
 def test_hypercube_stderr_scales_like_sqrt_n():

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from mzvtools.algebra import shuffle, stuffle
 from mzvtools.cli import main
 from mzvtools.errors import InvariantError
 from mzvtools.linalg import SparseRREF
-from mzvtools.relations import is_hoffman, relation_table
+from mzvtools.relations import echelon_form, is_hoffman, relation_table
 from mzvtools.words import enumerate_compositions, from_binary
 
 
@@ -267,6 +268,46 @@ def test_words_the_rows_do_not_pin_are_refused(monkeypatch):
             decompose_in_hoffman_basis(Composition(parts))
         assert exc.value.free_words == (Composition(parts),)
     assert decompose_in_hoffman_basis(Composition((2, 2))) == comp_combo(((2, 2), 1))
+
+
+# ------------------------------------------------------- theorem witnesses
+# Two theorems outside the double-shuffle rows, checked on the table's
+# Hoffman decompositions: duality, zeta(w) = zeta(w dagger) from the
+# iterated-integral form, and Granville's sum theorem, by which the
+# convergent words of weight N and depth r sum to zeta(N) for every r.
+
+def duality_failures(weight):
+    """The convergent words of a weight that do not decompose like their dual."""
+    return [c for c in enumerate_compositions(weight, convergent_only=True)
+            if decompose_in_hoffman_basis(c)
+            != decompose_in_hoffman_basis(from_binary(c.to_binary().dual()))]
+
+
+def sum_theorem_failures(weight):
+    """The depths whose convergent words do not decompose, summed, like (weight)."""
+    words = enumerate_compositions(weight, convergent_only=True)
+    target = decompose_in_hoffman_basis(Composition((weight,)))
+    return [r for r in range(1, weight)
+            if sum((decompose_in_hoffman_basis(c) for c in words if c.depth == r),
+                   LinComb.zero()) != target]
+
+
+@pytest.mark.parametrize("weight", range(2, 12))
+def test_table_decompositions_satisfy_duality_and_the_sum_theorem(weight):
+    # 1,023 duality pairs and 55 depth sums over weights 2 to 11
+    assert duality_failures(weight) == []
+    assert sum_theorem_failures(weight) == []
+
+
+def test_a_perturbed_pivot_row_trips_the_witnesses(monkeypatch):
+    # a fresh table cache for this test only, so the shared tables stay intact
+    monkeypatch.setattr(relations, "_table", lru_cache(maxsize=16)(relations._table.__wrapped__))
+    matrix = relation_table(6)
+    row = echelon_form(matrix).pivot_rows[matrix.column_of(Composition((6,)))]
+    hoffman = next(c for c in row if is_hoffman(matrix.basis[c]))
+    row[hoffman] += 1
+    assert Composition((6,)) in duality_failures(6)
+    assert sum_theorem_failures(6) == [2, 3, 4, 5]
 
 
 def _combo_value(combo, digits):
