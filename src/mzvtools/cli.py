@@ -153,7 +153,8 @@ def _dispatch(args):
 
     if cmd == "shuffle":
         u, v = (_parse_word_literal(w) for w in args.words)
-        combo = shuffle(u, v)
+        # "" parses as the empty letter word; the unit takes the other's kind
+        combo = shuffle(u or type(v)(), v or type(u)())
         return combo.to_json_obj(), [str(combo)], None, None
 
     if cmd == "stuffle":
@@ -174,7 +175,7 @@ def _dispatch(args):
         lines = ["%s = 0   [%s]" % (combo, prov)
                  for combo, prov in zip(combos, matrix.provenance)]
         lines.append("%d relations over %d convergent words"
-                     % (matrix.n_rows, matrix.n_columns))
+                     % (matrix.n_rows, len(matrix.basis)))
         return obj, lines, None, None
 
     if cmd == "dims":

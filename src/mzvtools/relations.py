@@ -84,20 +84,20 @@ class RelationMatrix(_Immutable):
     """All double-shuffle (and optionally Hoffman) rows at one weight,
     expressed over the convergent compositions of that weight in canonical
     order: sparse {column index: int} rows, each with a provenance string.
-    The echelon form is computed at most once and kept (``echelon_form``)."""
+    The columns are indexed both ways: ``basis``, a tuple, maps a column to
+    its word, and the {parts: column} map the rows were built against maps
+    a word back (``column_of``).  The echelon form is computed at most once
+    and kept (``echelon_form``)."""
 
-    __slots__ = ("weight", "basis", "provenance", "_sparse_rows", "_echelon")
+    __slots__ = ("weight", "basis", "provenance", "_columns", "_sparse_rows", "_echelon")
 
-    def __init__(self, weight, basis, rows, provenance):
+    def __init__(self, weight, basis, columns, rows, provenance):
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "basis", list(basis))
+        object.__setattr__(self, "basis", tuple(basis))
+        object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_sparse_rows", tuple(rows))
         object.__setattr__(self, "provenance", tuple(provenance))
         object.__setattr__(self, "_echelon", None)
-
-    @property
-    def n_columns(self):
-        return len(self.basis)
 
     @property
     def n_rows(self):
@@ -108,7 +108,8 @@ class RelationMatrix(_Immutable):
         return self._sparse_rows
 
     def column_of(self, comp):
-        return self.basis.index(comp)
+        """The column of a convergent composition of the matrix's weight."""
+        return self._columns[comp.parts]
 
 
 def check_weight(weight, max_weight):
@@ -149,7 +150,7 @@ def build_relation_matrix(weight, include_hoffman=True, max_weight=DEFAULT_MAX_W
         for n in enumerate_compositions(weight - 1, convergent_only=True):
             rows.append(_relation_row(one, n, columns))
             provenance.append("hoffman %s" % (n,))
-    return RelationMatrix(weight, basis, rows, provenance)
+    return RelationMatrix(weight, basis, columns, rows, provenance)
 
 
 def relation_table(weight, max_weight=DEFAULT_MAX_WEIGHT):

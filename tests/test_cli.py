@@ -29,6 +29,18 @@ def test_shuffle_letter_words(capsys):
     assert "f3.f5.f7" in out
 
 
+@pytest.mark.parametrize("words,text,kind", [
+    (("", "10"), "10", "binary"), (("10", ""), "10", "binary"),
+    (("f3", ""), "f3", "letters"), (("", ""), "", "letters")])
+def test_shuffle_by_the_empty_word_is_the_identity(capsys, words, text, kind):
+    code, out, _ = run(capsys, "shuffle", *words)
+    assert code == 0
+    assert out == text + "\n"
+    code, out, _ = run(capsys, "shuffle", "--json", *words)
+    assert code == 0
+    assert json.loads(out)["result"]["kind"] == kind
+
+
 def test_shuffle_refuses_an_empty_letter(capsys):
     code, out, err = run(capsys, "shuffle", "f3..f5", "f7")
     assert code == 1

@@ -26,6 +26,15 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_the_package_parses_as_python_3_10():
+    # pyproject.toml requires Python 3.10; newer syntax such as except* is
+    # refused here on any interpreter, not only on the floor's CI job
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for path in sorted(Path(mzvtools.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 # Module-level names and methods (``Class.method``) kept although the
 # package neither exports nor uses them, each with the reason it stays (for
 # example, kept as an oracle).

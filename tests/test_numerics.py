@@ -566,22 +566,37 @@ def test_every_word_through_weight_twelve_stays_below_the_work_cap():
             _term_counts(chain.from_iterable(halves), HALF, MAX_DIGITS + GUARD)
 
 
+def zagier(a, b):
+    """zeta(2^a, 3, 2^b) at the working precision, by Zagier's formula
+    (Annals 175, 2012), in the index order of this package:
+    2 sum_{r=1}^{K} (-1)^r [C(2r, 2a+2) - (1 - 2^-2r) C(2r, 2b+1)]
+      * pi^(2(K-r)) / (2(K-r)+1)! * zeta(2r+1), with K = a+b+1."""
+    k = a + b + 1
+    return 2 * mp.fsum(
+        (-1) ** r * (math.comb(2 * r, 2 * a + 2)
+                     - (1 - mpf(2) ** (-2 * r)) * math.comb(2 * r, 2 * b + 1))
+        * pi ** (2 * (k - r)) / mp.factorial(2 * (k - r) + 1) * mp_zeta(2 * r + 1)
+        for r in range(1, k + 1))
+
+
 def test_zagier_weight_27_depth_13_at_1000_digits():
-    # Zagier (Annals 175, 2012), in the index order of this package:
-    # (2^a, 3, 2^b) = 2 sum_{r=1}^{K} (-1)^r [C(2r, 2a+2) - (1 - 2^-2r) C(2r, 2b+1)]
-    #                   * pi^(2(K-r)) / (2(K-r)+1)! * zeta(2r+1), with K = a+b+1;
     # its one sum, at 1000 + GUARD + 20 working digits for the first term
     # 1/(5 (13!)^2), stays below MAX_KERNEL_WORK
     a, b = 4, 8
-    k = a + b + 1
     with mp.workdps(1030):
-        value = 2 * mp.fsum(
-            (-1) ** r * (math.comb(2 * r, 2 * a + 2)
-                         - (1 - mpf(2) ** (-2 * r)) * math.comb(2 * r, 2 * b + 1))
-            * pi ** (2 * (k - r)) / mp.factorial(2 * (k - r) + 1) * mp_zeta(2 * r + 1)
-            for r in range(1, k + 1))
-        expected = mp.nstr(value, 1000)
+        expected = mp.nstr(zagier(a, b), 1000)
     assert mzv_eval((2,) * a + (3,) + (2,) * b, 1000).nstr() == expected
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(13) for b in range(13 - a)])
+def test_zagier_at_every_depth_and_position(a, b):
+    # all 91 words (2^a, 3, 2^b) of depth 1 to 13; against a tolerance, since
+    # a value within its bound can still print a last digit that differs from
+    # the correctly rounded one, as (2,2,3,2) does at 100 digits
+    value = mzv_eval((2,) * a + (3,) + (2,) * b, 100).value
+    with mp.workdps(130):
+        expected = zagier(a, b)
+        assert abs(value - expected) < mpf(10) ** -99 * expected
 
 
 def test_mzv_precision_doubling_consistency():

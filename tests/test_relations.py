@@ -53,6 +53,15 @@ def test_weight_three_structure():
     assert dimension_upper_bound(3) == 1
 
 
+@pytest.mark.parametrize("weight", range(2, 13))
+def test_the_two_column_indexes_agree(weight):
+    # basis maps a column to its word and column_of maps it back; the basis
+    # is a tuple, so no caller can reorder the shared table's columns
+    matrix = relation_table(weight)
+    assert type(matrix.basis) is tuple
+    assert all(matrix.column_of(w) == i for i, w in enumerate(matrix.basis))
+
+
 def test_weight_four_rows():
     # the three double-shuffle rows at weight 4, from the products 2x2 and 1*3
     matrix = build_relation_matrix(4)
@@ -271,10 +280,11 @@ def test_words_the_rows_do_not_pin_are_refused(monkeypatch):
 
 
 # ------------------------------------------------------- theorem witnesses
-# Two theorems outside the double-shuffle rows, checked on the table's
+# Three theorems outside the double-shuffle rows, checked on the table's
 # Hoffman decompositions: duality, zeta(w) = zeta(w dagger) from the
-# iterated-integral form, and Granville's sum theorem, by which the
-# convergent words of weight N and depth r sum to zeta(N) for every r.
+# iterated-integral form; Granville's sum theorem, by which the convergent
+# words of weight N and depth r sum to zeta(N) for every r; and Ohno's
+# relation, which contains both.
 
 def duality_failures(weight):
     """The convergent words of a weight that do not decompose like their dual."""
@@ -292,11 +302,43 @@ def sum_theorem_failures(weight):
                    LinComb.zero()) != target]
 
 
+def raised(parts, extra):
+    """Every part tuple parts + e with e >= 0 part by part and |e| = extra."""
+    if len(parts) == 1:
+        yield (parts[0] + extra,)
+        return
+    for e in range(extra + 1):
+        for rest in raised(parts[1:], extra - e):
+            yield (parts[0] + e,) + rest
+
+
+def ohno_sum(comp, extra):
+    """The decompositions of every comp + e with |e| = extra, summed as one
+    combination (repeated + would be quadratic in the number of terms)."""
+    return LinComb((w, c) for parts in raised(comp.parts, extra)
+                   for w, c in decompose_in_hoffman_basis(Composition(parts)).terms())
+
+
+def ohno_failures(weight):
+    """The pairs (k, l) with weight(k) + l = weight where Ohno's relation,
+    the sum over |e| = l of zeta(k + e) equal to the same sum for the dual
+    of k, does not hold for the decompositions."""
+    return [(k, l) for l in range(weight - 1)
+            for k in enumerate_compositions(weight - l, convergent_only=True)
+            if ohno_sum(k, l) != ohno_sum(from_binary(k.to_binary().dual()), l)]
+
+
 @pytest.mark.parametrize("weight", range(2, 12))
 def test_table_decompositions_satisfy_duality_and_the_sum_theorem(weight):
     # 1,023 duality pairs and 55 depth sums over weights 2 to 11
     assert duality_failures(weight) == []
     assert sum_theorem_failures(weight) == []
+
+
+@pytest.mark.parametrize("weight", range(2, 11))
+def test_table_decompositions_satisfy_ohnos_relation(weight):
+    # 1,013 pairs (k, l) with weight(k) + l <= 10; at l = 0 it is duality
+    assert ohno_failures(weight) == []
 
 
 def test_a_perturbed_pivot_row_trips_the_witnesses(monkeypatch):
@@ -308,6 +350,9 @@ def test_a_perturbed_pivot_row_trips_the_witnesses(monkeypatch):
     row[hoffman] += 1
     assert Composition((6,)) in duality_failures(6)
     assert sum_theorem_failures(6) == [2, 3, 4, 5]
+    failures = ohno_failures(6)
+    assert len(failures) == 8
+    assert (Composition((3,)), 3) in failures and (Composition((1, 2)), 3) in failures
 
 
 def _combo_value(combo, digits):
