@@ -19,13 +19,12 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from mpmath import mp, mpf
 
 from . import __version__
-from .algebra import shuffle, stuffle
+from .algebra import shuffle, stuffle, stuffle_combo
 from .detect import check_search, detect
 from .dims import dimension, weight_counts
 from .errors import integer_in
@@ -36,7 +35,8 @@ from .numerics import DEFAULT_SEED, GUARD, BigReal, mzv_eval, zeta_euler_maclaur
 from .relations import (DEFAULT_MAX_WEIGHT, build_relation_matrix, check_weight,
                         decompose_in_hoffman_basis, dimension_upper_bound,
                         matrix_rank, relation_table)
-from .words import parse_binary_word, parse_composition, parse_generic_word
+from .words import (Composition, format_expression, parse_binary_word, parse_composition,
+                    parse_expression, parse_generic_word)
 
 # `dims --table N` runs the three counting recurrences once up to N, about
 # N^2 steps; the cap bounds the table's size, not its time.
@@ -52,23 +52,47 @@ def _parse_word_literal(text):
     return parse_generic_word(s)
 
 
-def _mzv_expression(text, digits):
-    """A product of factors separated by '*': rational literals and
-    composition literals standing for their zeta values."""
-    total = mpf(1)
-    with mp.workdps(digits + GUARD):
-        for tok in text.split("*"):
-            tok = tok.strip()
-            if not tok:
-                raise ValueError("empty factor in %r" % (text,))
-            if tok.startswith("("):
-                total = total * mzv_eval(parse_composition(tok), digits).value
-            else:
-                try:
-                    q = Fraction(tok)
-                except ZeroDivisionError:
-                    raise ValueError("zero denominator in %r" % (tok,)) from None
-                total = total * mpf(q.numerator) / q.denominator
+# The two readings of parse_expression's terms live here, not in a library
+# module: perfbench wraps mzv_eval, decompose_in_hoffman_basis and detect
+# under this module's names, so its numerics and relations figures count
+# only the calls made through them.
+def _hoffman_vector(terms, max_weight):
+    """The exact reading of an expression: each product expanded by stuffle,
+    each word decomposed over the Hoffman words, and the terms summed.  A
+    combination of mixed weights is refused."""
+    # a word with coefficient 1 needs neither a product nor a sum
+    if len(terms) == 1 and terms[0][0] == 1 and len(terms[0][1]) == 1:
+        return decompose_in_hoffman_basis(terms[0][1][0], max_weight)
+    weights = sorted({sum(w.weight for w in words) for _, words in terms})
+    if len(weights) > 1:
+        raise ValueError("a decomposition needs one weight, got weights %s" % weights)
+    products = [(c, reduce(stuffle_combo, map(LinComb.term, words or (Composition(),))))
+                for c, words in terms]
+    return LinComb([(h, c * cp * ch) for c, product in products for p, cp in product
+                    for h, ch in decompose_in_hoffman_basis(p, max_weight)])
+
+
+def _value(terms, digits):
+    """The numeric reading of an expression.  One word alone is
+    ``mzv_eval(word, digits)`` with its coefficient applied at digits +
+    GUARD.  Any other expression evaluates each distinct word once, at
+    digits + GUARD plus the digits of the sum of |c| 2^k over its terms (a
+    product of k words is below 2^k, each below zeta(2) < 2), and rounds the
+    sum once: a product keeps relative digits, and a sum, whose terms may
+    cancel, has absolute ones: its error is below 10^-digits max(1, |value|).
+    """
+    single = len(terms) == 1 and len(terms[0][1]) == 1
+    if single and terms[0][0] == 1:  # a word with coefficient 1: its value as it is
+        return mzv_eval(terms[0][1][0], digits)
+    size = sum(abs(c) * 2 ** len(words) for c, words in terms).numerator
+    # one word at the digits, scaled at digits + GUARD; any other expression at
+    # log10(size) digits more, since 2^b < 10^(0.302 b) for a b-bit size
+    at = digits if single else digits + GUARD + size.bit_length() * 302 // 1000 + 1
+    dps = max(at, digits + GUARD)
+    values = {w: mzv_eval(w, at).value for _, words in terms for w in words}
+    with mp.workdps(dps):
+        total = mp.fsum(mpf(c.numerator) / c.denominator
+                        * mp.fprod(values[w] for w in words) for c, words in terms)
     return BigReal(total, digits)
 
 
@@ -109,11 +133,11 @@ def _build_parser():
                    help="the largest N that --max accepts")
 
     p = add("hoffman-decompose", "rewrite a convergent word over the Hoffman words")
-    p.add_argument("word", help='composition literal like "(1,3)"')
+    p.add_argument("word", help='an expression such as "(1,3)" or "2*(1,2) - 2*(3)"')
     p.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT)
 
     p = add("eval", "evaluate a convergent multiple zeta value")
-    p.add_argument("word", help='composition literal like "(2,3)"')
+    p.add_argument("word", help='an expression such as "(2,3)" or "(2)*(3) - (5)"')
     p.add_argument("--digits", type=int, default=40)
 
     p = add("eval-zeta", "evaluate zeta(s) by the Euler-Maclaurin partial sum")
@@ -122,7 +146,7 @@ def _build_parser():
 
     p = add("detect", "search for an integer relation among MZV expressions")
     p.add_argument("exprs", nargs="+",
-                   help='factors joined by *, e.g. "28*(3,9)" or "(12)"')
+                   help='expressions like "28*(3,9)"; put -- before one starting with -')
     p.add_argument("--digits", type=int, default=60)
     p.add_argument("--height-bound", type=int, default=10 ** 6)
 
@@ -205,17 +229,20 @@ def _dispatch(args):
         return {"bounds": rows}, lines, None, None
 
     if cmd == "hoffman-decompose":
-        word = parse_composition(args.word)
-        combo = decompose_in_hoffman_basis(word, args.max_weight)
-        return ({"word": str(word), "decomposition": combo.to_json_obj()},
-                ["%s = %s" % (word, combo)], None, None)
+        terms = parse_expression(args.word)
+        combo = _hoffman_vector(terms, args.max_weight)
+        return ({"word": format_expression(terms), "decomposition": combo.to_json_obj()},
+                ["%s = %s" % (format_expression(terms), combo)], None, None)
 
     if cmd == "eval":
-        word = parse_composition(args.word)
-        value = mzv_eval(word, args.digits)
-        obj = {"word": str(word), "algorithm": "path-split-polylog",
+        terms = parse_expression(args.word)
+        value = _value(terms, args.digits)
+        obj = {"word": format_expression(terms), "algorithm": "path-split-polylog",
                **value.to_json_obj()}
-        return obj, ["zeta%s = %s" % (word, value)], args.digits, None
+        line = "%s = %s" % (format_expression(terms, "zeta%s"), value)
+        if len(terms) > 1:  # a sum, whose terms may cancel
+            obj["absolute"], line = True, line + "  (absolute digits)"
+        return obj, [line], args.digits, None
 
     if cmd == "eval-zeta":
         value = zeta_euler_maclaurin(args.s, args.digits)
@@ -225,7 +252,7 @@ def _dispatch(args):
     if cmd == "detect":
         # refuse the search before any value is computed
         check_search(len(args.exprs), args.digits, args.height_bound)
-        values = [_mzv_expression(e, args.digits) for e in args.exprs]
+        values = [_value(parse_expression(e), args.digits) for e in args.exprs]
         result = detect(values, args.digits, args.height_bound)
         lines = [str(result)]
         if result.found:

@@ -34,7 +34,8 @@ from .numerics import GUARD, MAX_DIGITS, BigReal
 
 SLACK = 5
 _DELTA = Fraction(3, 4)
-# The most lattice work, m^4 digits^2 for m values, that detect reduces.
+# The most lattice work, m^4 (digits + L)^2 for m values whose largest has L
+# digits before the units place, that detect reduces.
 # On a 2-vCPU host a unit takes 2.8-3.7 ns from 10 values at 400 digits up
 # (14 values at 400 digits: 6.2e9, 17 s) and up to 9 ns for small lattices,
 # so the cap is about 20 s; the README's (1,11) example, 13 values at 420
@@ -144,16 +145,19 @@ def _as_mpf(x):
     return mpf(x), mp.dps
 
 
-def check_search(m, digits, height_bound):
+def check_search(m, digits, height_bound, magnitude=0):
     """The checks on a search for relations among m values at the given
-    digits and height bound, made before any value is computed; returns
-    (digits, height_bound) as ints.
+    digits and height bound, made before any value is computed, and again
+    by ``detect`` with the values' ``magnitude``: the digits of the largest
+    |x_i| before the units place (0 when all are below 10), which lengthen
+    every lattice entry.  Returns (digits, height_bound) as ints.
 
     ValueError unless 2 <= m <= 50, unless the height bound is an integer
     of at least 1 and the digits an integer from 1 to MAX_DIGITS, unless
     digits >= 20 + log10(height_bound) * m (below that the lattice cannot
     separate true relations from noise), and when the lattice work
-    m^4 digits^2 exceeds MAX_LATTICE_WORK.
+    m^4 (digits + magnitude)^2 exceeds MAX_LATTICE_WORK; its message counts
+    the digits + magnitude of the entries.
     """
     if not 2 <= m <= 50:
         raise ValueError("detect needs between 2 and 50 values")
@@ -164,10 +168,11 @@ def check_search(m, digits, height_bound):
         raise ValueError("%d digits is too low: need at least %d for %d values "
                          "at height bound %d" % (digits, math.ceil(needed), m,
                                                  height_bound))
-    if m ** 4 * digits ** 2 > MAX_LATTICE_WORK:
+    entry = digits + magnitude  # the digits of the largest lattice entry
+    if m ** 4 * entry ** 2 > MAX_LATTICE_WORK:
         raise ValueError("reducing %d values at %d digits would take %d units of "
                          "lattice work (values^4 digits^2), more than the cap "
-                         "MAX_LATTICE_WORK = %d" % (m, digits, m ** 4 * digits ** 2,
+                         "MAX_LATTICE_WORK = %d" % (m, entry, m ** 4 * entry ** 2,
                                                     MAX_LATTICE_WORK))
     return digits, height_bound
 
@@ -183,8 +188,9 @@ def detect(xs, digits=None, height_bound=10 ** 6):
     """
     m = len(xs)
     values, precisions = zip(*map(_as_mpf, xs)) if m else ((), ())
-    digits, height_bound = check_search(
-        m, min(precisions, default=None) if digits is None else digits, height_bound)
+    digits = min(precisions, default=None) if digits is None else digits
+    magnitude = max((int(mp.log10(abs(v))) for v in values if abs(v) >= 10), default=0)
+    digits, height_bound = check_search(m, digits, height_bound, magnitude)
     for p in precisions:
         if p < digits:
             raise ValueError("an input carries only %d digits, below the "

@@ -48,14 +48,10 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mp, mpf
 
-from .errors import _Immutable, check, integer_in
+from .errors import MAX_DIGITS, _Immutable, check, integer_in
 from .words import Composition, letters_to_parts
 
 GUARD = 10
-# Larger requests fail at once rather than run for minutes: at 2000 digits
-# zeta(3,9) takes about 2 s on a 2-vCPU host, and the time grows about
-# fourfold each time the digits double.
-MAX_DIGITS = 2000
 DEFAULT_SEED = 42
 
 

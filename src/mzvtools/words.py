@@ -33,7 +33,11 @@ lexicographically.
 
 from __future__ import annotations
 
-from .errors import _Immutable, integer_in
+import math
+import re
+from fractions import Fraction
+
+from .errors import MAX_DIGITS, _Immutable, integer_in
 
 # A binary letter as its int, looked up by a value equal to it (equal values
 # hash alike) or by its character in a str.
@@ -229,6 +233,60 @@ def parse_composition(text):
     except ValueError:
         raise ValueError("composition literal must contain integers, got %r" % (text,))
     return Composition(parts)
+
+
+def _rational(text):
+    """A coefficient literal as a Fraction.  Its numerator and denominator
+    as written (a/b, or a decimal's digits shifted by its exponent) may have
+    at most MAX_DIGITS digits, which is decided from the text before any
+    Fraction is built: ``Fraction("1e9999999")`` alone takes seconds."""
+    # a/b, or a decimal with an optional exponent
+    match = re.fullmatch(r"(\d+)/(\d+)|(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d{1,9}))?", text)
+    if match is None:
+        raise ValueError("invalid literal for a coefficient: %r" % (text,))
+    num, den, whole, frac, exp = match.groups(default="")
+    shift = int(exp or 0) - len(frac)  # a decimal is whole.frac * 10^exp
+    # the digits of the numerator and of the denominator, as written
+    if max(len(num + whole + frac) + max(shift, 0), len(den) or 1 - min(shift, 0)) > MAX_DIGITS:
+        raise ValueError("coefficient %r has more than %d digits" % (text, MAX_DIGITS))
+    if not int(den or 1):
+        raise ValueError("zero denominator in %r" % (text,))
+    return Fraction(text)
+
+
+def parse_expression(text):
+    """Parse a rational combination of products of composition literals,
+    such as ``"28*(3,9) + 150*(5,7) - 5197/691*(12)"``, into a list of
+    ``(Fraction, (Composition, ...))`` terms, one per summand in order.
+
+    A summand is factors joined by ``*``: composition literals, kept in
+    order, and rational literals, multiplied with the summand's sign into
+    its coefficient; a summand of rationals alone has no compositions, the
+    empty product 1.  Summands split at a + or - that does not follow e or
+    E, so ``1e-5*(3)`` is one summand.  A malformed literal, an empty factor
+    or a coefficient literal with more than ``MAX_DIGITS`` digits in its
+    numerator or denominator raises ValueError.
+    """
+    signed = text if text.lstrip().startswith(("+", "-")) else "+" + text
+    # split at each + or - that does not follow the e or E of an exponent
+    chunks = re.split(r"(?<![eE])([+-])", signed)
+    terms = []
+    for sign, chunk in zip(chunks[1::2], chunks[2::2]):
+        factors = [tok.strip() for tok in chunk.split("*")]
+        if not all(factors):
+            raise ValueError("empty factor in %r" % (text,))
+        terms.append((math.prod([_rational(f) for f in factors if f[0] != "("],
+                                start=Fraction(-1 if sign == "-" else 1)),
+                      tuple(parse_composition(f) for f in factors if f[0] == "(")))
+    return terms
+
+
+def format_expression(terms, word="%s"):
+    """Write the terms of ``parse_expression`` back in the form it reads,
+    each composition through the format ``word``."""
+    # a coefficient of 1 is left out before a word; -1*(3) reads -(3) and + -(3) reads - (3)
+    return " + ".join("*".join([str(c)] * (c != 1 or not words) + [word % w for w in words])
+                      for c, words in terms).replace("-1*", "-").replace("+ -", "- ")
 
 
 def parse_binary_word(text):

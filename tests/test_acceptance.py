@@ -1,11 +1,14 @@
 """End-to-end acceptance gates for the toolkit.
 
-One test per criterion, in order.  Each test exercises the full stated
+One test per criterion, in order; criterion 7 has a second, exact one,
+from the command line, which reuses the weight-12 table that criterion 4
+builds.  Each test exercises the full stated
 check at its stated tolerance and prints a single PASS line on success
 (visible with ``pytest -v`` as one line per criterion, or with ``-s``).
 The slow gates carry their stated wall-clock budgets as assertions.
 """
 
+import json
 import math
 import random
 import time
@@ -21,6 +24,7 @@ from mzvtools import (BigReal, BinaryWord, Composition, LinComb, Graph,
                       kirchhoff_polynomial, mzv_eval, period_monte_carlo,
                       shuffle, shuffle_combo, shuffle_regularize, stuffle,
                       stuffle_combo, stuffle_regularize, zeta_euler_maclaurin)
+from mzvtools.cli import main
 
 K4 = Graph.parse("V=4; 1-2,1-3,1-4,2-3,2-4,3-4")
 
@@ -124,6 +128,23 @@ def test_criterion_07_weight_twelve_relation():
         assert abs(combo) < mp.mpf(10) ** -30
     _passed(7, "28 zeta(3,9) + 150 zeta(5,7) + 168 zeta(7,5) - 5197/691 "
                "zeta(12) cancels below 1e-30 at 40 digits")
+
+
+GKZ = "28*(3,9) + 150*(5,7) + 168*(7,5) - 5197/691*(12)"
+
+
+def test_criterion_07_weight_twelve_relation_exactly(capsys):
+    # Gangl-Kaneko-Zagier: the Hoffman vector of the combination is zero
+    assert main(["hoffman-decompose", GKZ, "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["word"], result["decomposition"]) == (GKZ, {"kind": None, "terms": []})
+    assert main(["eval", GKZ, "--digits", "40", "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["digits"], result["absolute"]) == (40, True)
+    value = mp.mpf(result["value"])
+    assert abs(value) < mp.mpf(10) ** -39
+    _passed(7, "the same combination decomposes to 0 over the Hoffman words, "
+               "and evaluates to %.1e at 40 absolute digits" % float(value))
 
 
 def test_criterion_08_integer_relation_detection():

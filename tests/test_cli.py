@@ -1,14 +1,24 @@
 """CLI behavior: output shapes, the JSON manifest, determinism, exit codes."""
 
+import importlib
 import itertools
 import json
+import shlex
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+from mpmath import mp, mpf, zeta as mp_zeta
+
 from mzvtools import cli, feynman, numerics, relations
 from mzvtools.cli import main
+
+# the module, which the package's detect function shadows
+DETECT = importlib.import_module("mzvtools.detect")
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -127,6 +137,100 @@ def test_detect_with_rational_factors(capsys):
     code, out, _ = run(capsys, "detect", "2*(1,2)", "1/2*(3)", "--digits", "40")
     assert code == 0
     assert "[1, -4]" in out
+
+
+def test_detect_reads_a_leading_minus_after_two_dashes(capsys):
+    code, out, _ = run(capsys, "detect", "--digits", "40", "--", "-(3)", "(1,2)")
+    assert code == 0
+    assert "[1, 1]" in out
+
+
+def test_hoffman_decompose_expands_products(capsys):
+    code, out, _ = run(capsys, "hoffman-decompose", "(2)*(3) - (5)")
+    assert (code, out) == (0, "(2)*(3) - (5) = (2,3) + (3,2)\n")
+    # the empty product of a rational alone is the empty word
+    assert run(capsys, "hoffman-decompose", "--", "-1/2")[:2] == (0, "-1/2 = -1/2*()\n")
+
+
+def test_hoffman_decompose_refuses_mixed_weights(capsys):
+    code, out, err = run(capsys, "hoffman-decompose", "(2)*(3) - (4)")
+    assert (code, out) == (1, "")
+    assert err == "error: a decomposition needs one weight, got weights [4, 5]\n"
+
+
+def test_eval_of_a_sum_says_its_digits_are_absolute(capsys):
+    code, out, _ = run(capsys, "eval", "(2)*(3) - (2,3) - (3,2) - (5)", "--digits", "30")
+    assert code == 0
+    label, value = out.split(" = ")
+    assert label == "zeta(2)*zeta(3) - zeta(2,3) - zeta(3,2) - zeta(5)"
+    assert value.endswith("  (absolute digits)\n")
+    assert abs(mpf(value.split()[0])) < mpf(10) ** -30
+    code, out, _ = run(capsys, "eval", "(2)*(3) - (5)", "--json")
+    assert json.loads(out)["result"]["absolute"] is True
+    # a single word and a product keep relative digits, and say nothing
+    for word in ("(2)", "2*(2)*(3)"):
+        code, out, _ = run(capsys, "eval", word, "--json")
+        assert "absolute" not in json.loads(out)["result"]
+
+
+def test_eval_of_a_product_keeps_relative_digits(capsys):
+    code, out, _ = run(capsys, "eval", "5197/691*(12)*(12)", "--digits", "40")
+    assert code == 0
+    assert out.startswith("5197/691*zeta(12)*zeta(12) = ")
+    with mp.workdps(60):
+        exact = mpf(5197) / 691 * mp_zeta(12) ** 2
+        assert abs(mpf(out.split(" = ")[1]) - exact) < mpf(10) ** -39 * exact
+
+
+def test_eval_of_a_sum_with_large_coefficients_keeps_absolute_digits(capsys):
+    # each value carries the digits of the coefficients on top, so 10^100
+    # times zeta(1,2) - zeta(3) still cancels to the requested digits
+    code, out, _ = run(capsys, "eval", "1e100*(1,2) - 1e100*(3)", "--digits", "30")
+    assert code == 0
+    assert abs(mpf(out.split(" = ")[1].split()[0])) < mpf(10) ** -30
+
+
+def test_detect_refuses_an_oversized_coefficient_before_evaluating(monkeypatch, capsys):
+    # Fraction("1e99999") and its lattice used to take seconds
+    evaluated = []
+    monkeypatch.setattr(cli, "mzv_eval", lambda *a: evaluated.append(a))
+    monkeypatch.setattr(DETECT, "lll_reduce", None)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "detect", "1e99999*(3)", "(3)")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out, evaluated) == (1, "", [])
+    assert err == "error: coefficient '1e99999' has more than 2000 digits\n"
+
+
+def test_detect_counts_the_integer_digits_of_its_values(monkeypatch, capsys):
+    # 8 values at 80 digits pass the first check; the 1999 digits of the
+    # first value before its point make the lattice entries 2079 digits long
+    monkeypatch.setattr(DETECT, "lll_reduce", None)
+    words = ["1e1999*(2)"] + ["(%d)" % s for s in range(3, 10)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "detect", *words, "--digits", "80")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: reducing 8 values at 2079 digits would take "
+                          "%d units of lattice work" % (8 ** 4 * 2079 ** 2))
+
+
+def readme_commands():
+    """The argument lists of the ``mzv`` lines in the README's command block."""
+    block = README.read_text().split("## Command line")[1].split("```sh")[1].split("```")[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("mzv ")]
+
+
+def test_the_readme_command_block_runs_as_written(capsys):
+    commands = readme_commands()
+    # the exact weight-13 table takes about 15 s, too long for this suite
+    slow = ["dims", "--max", "13", "--max-weight", "13"]
+    assert slow in commands and len(commands) > 10
+    for argv in commands:
+        if argv != slow:
+            assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_feynman_psi(capsys, tmp_path):

@@ -369,6 +369,36 @@ def test_lattices_past_the_work_cap_are_refused_before_reduction(monkeypatch):
     assert 13 ** 4 * 420 ** 2 <= MAX_LATTICE_WORK
 
 
+def test_the_integer_digits_of_a_value_count_as_lattice_work(monkeypatch):
+    # 1e99999 makes every lattice entry 99999 digits longer; reducing it
+    # took seconds, and 1e999999 had not finished after a minute
+    monkeypatch.setattr(importlib.import_module("mzvtools.detect"), "lll_reduce", None)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="reducing 2 values at 100039 digits would take "
+                       "%d units of lattice work" % (2 ** 4 * 100039 ** 2)):
+        detect([mpf("1e99999"), mpf(1)], 40)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_only_digits_before_the_units_place_count(monkeypatch):
+    # 10 values at 774 digits are 5.99e9 units of work, just below the cap;
+    # a value of 10 or more adds a digit to every entry, 6.006e9 units
+    class Reached(Exception):
+        pass
+
+    def reached(basis):
+        raise Reached
+
+    monkeypatch.setattr(importlib.import_module("mzvtools.detect"), "lll_reduce", reached)
+    with mp.workdps(800):
+        below_ten = [BigReal(mpf(-9.99) / k, 774) for k in range(1, 11)]
+        with pytest.raises(Reached):
+            detect(below_ten)
+        with pytest.raises(ValueError, match="reducing 10 values at 775 digits would take "
+                           "6006250000 units"):
+            detect([BigReal(10, 774)] + below_ten[1:])
+
+
 def test_needs_at_least_two_inputs():
     with pytest.raises(ValueError):
         detect([mzv_eval(Composition((2,)), 40)], 40)

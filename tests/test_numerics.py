@@ -3,6 +3,7 @@ polylogarithms, the path-splitting MZV evaluator, and the hypercube
 Monte-Carlo check.  Cross-checks pit independent algorithms against each
 other rather than trusting any single route."""
 
+import json
 import math
 import re
 import time
@@ -16,6 +17,7 @@ from mpmath import mp, mpf, pi, zeta as mp_zeta
 from mzvtools import (BigReal, Composition, bernoulli, enumerate_compositions,
                       hypercube_zeta2, multiple_polylog, mzv_eval,
                       numerics, zeta_euler_maclaurin, zeta_even_closed_form)
+from mzvtools.cli import main
 from mzvtools.errors import InvariantError
 from mzvtools.numerics import (GUARD, MAX_DIGITS, MAX_KERNEL_WORK, MAX_SAMPLE_WORK,
                                _first_term_zeros, _path_halves, _polylog_fixed,
@@ -566,17 +568,33 @@ def test_every_word_through_weight_twelve_stays_below_the_work_cap():
             _term_counts(chain.from_iterable(halves), HALF, MAX_DIGITS + GUARD)
 
 
+def zagier_coefficients(a, b, factor=lambda r: 1 - Fraction(1, 4 ** r)):
+    """The exact coefficients c_r, r = 1..K with K = a+b+1, of Zagier's
+    formula (Annals 175, 2012) for zeta(2^a, 3, 2^b) in the index order of
+    this package:  sum_r c_r * pi^(2(K-r)) / (2(K-r)+1)! * zeta(2r+1), with
+    c_r = 2 (-1)^r [C(2r, 2a+2) - (1 - 2^-2r) C(2r, 2b+1)].  ``factor``
+    replaces (1 - 2^-2r), for a mutation test."""
+    return [(r, 2 * (-1) ** r * (math.comb(2 * r, 2 * a + 2)
+                                 - factor(r) * math.comb(2 * r, 2 * b + 1)))
+            for r in range(1, a + b + 2)]
+
+
 def zagier(a, b):
-    """zeta(2^a, 3, 2^b) at the working precision, by Zagier's formula
-    (Annals 175, 2012), in the index order of this package:
-    2 sum_{r=1}^{K} (-1)^r [C(2r, 2a+2) - (1 - 2^-2r) C(2r, 2b+1)]
-      * pi^(2(K-r)) / (2(K-r)+1)! * zeta(2r+1), with K = a+b+1."""
+    """zeta(2^a, 3, 2^b) at the working precision, by Zagier's formula."""
     k = a + b + 1
-    return 2 * mp.fsum(
-        (-1) ** r * (math.comb(2 * r, 2 * a + 2)
-                     - (1 - mpf(2) ** (-2 * r)) * math.comb(2 * r, 2 * b + 1))
-        * pi ** (2 * (k - r)) / mp.factorial(2 * (k - r) + 1) * mp_zeta(2 * r + 1)
-        for r in range(1, k + 1))
+    return mp.fsum(mpf(c.numerator) / c.denominator * pi ** (2 * (k - r))
+                   / mp.factorial(2 * (k - r) + 1) * mp_zeta(2 * r + 1)
+                   for r, c in zagier_coefficients(a, b))
+
+
+def zagier_expression(a, b, **mutation):
+    """The right side of Zagier's formula as an ``mzv`` expression: the
+    word ({2}^n) is pi^(2n)/(2n+1)!, so each term is c_r*(2,...,2)*(2r+1)."""
+    k = a + b + 1
+    return " ".join("%s %s*%s(%d)" % ("-" if c < 0 else "+", abs(c),
+                                      "(%s)*" % ",".join("2" * (k - r)) if k > r else "",
+                                      2 * r + 1)
+                    for r, c in zagier_coefficients(a, b, **mutation))
 
 
 def test_zagier_weight_27_depth_13_at_1000_digits():
@@ -597,6 +615,33 @@ def test_zagier_at_every_depth_and_position(a, b):
     with mp.workdps(130):
         expected = zagier(a, b)
         assert abs(value - expected) < mpf(10) ** -99 * expected
+
+
+# the 15 words (2^a, 3, 2^b) of weight <= 11
+ZAGIER_WEIGHT_11 = [(a, b) for a in range(5) for b in range(5 - a)]
+
+
+def _decomposition(capsys, expression):
+    assert main(["hoffman-decompose", expression, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["result"]["decomposition"]
+
+
+def test_zagier_family_decomposes_exactly(capsys):
+    # a witness from a theorem, not from the double-shuffle rows: each right
+    # side, expanded by stuffle and decomposed, is the left word's vector
+    assert len(ZAGIER_WEIGHT_11) == 15
+    for a, b in ZAGIER_WEIGHT_11:
+        word = "(%s)" % ",".join(["2"] * a + ["3"] + ["2"] * b)
+        assert (_decomposition(capsys, zagier_expression(a, b))
+                == _decomposition(capsys, word)), word
+
+
+def test_zagier_family_without_its_power_of_two_factor_mismatches(capsys):
+    # the mutation test of the exact witness: (1 - 2^-2r) replaced by 1
+    for a, b in ZAGIER_WEIGHT_11:
+        word = "(%s)" % ",".join(["2"] * a + ["3"] + ["2"] * b)
+        assert (_decomposition(capsys, zagier_expression(a, b, factor=lambda r: 1))
+                != _decomposition(capsys, word)), word
 
 
 def test_mzv_precision_doubling_consistency():

@@ -1,4 +1,7 @@
 import math
+import re
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from mzvtools import (BigReal, BinaryWord, Composition, GenericWord, Graph,
                       GraphPolynomial, LinComb, build_relation_matrix,
                       enumerate_compositions, from_binary, parse_binary_word,
                       parse_composition, parse_generic_word)
+from mzvtools.errors import MAX_DIGITS
+from mzvtools.words import format_expression, parse_expression
 
 
 def test_composition_basics():
@@ -165,6 +170,63 @@ def test_parser_errors():
     for text in ("f3..f5", "f3.", ".", ".f5"):
         with pytest.raises(ValueError, match="empty letter"):
             parse_generic_word(text)
+
+
+def test_expression_terms():
+    c = Composition
+    assert parse_expression("28*(3,9) + 150*(5,7) + 168*(7,5) - 5197/691*(12)") == [
+        (28, (c((3, 9)),)), (150, (c((5, 7)),)), (168, (c((7, 5)),)),
+        (Fraction(-5197, 691), (c((12,)),))]
+    assert parse_expression(" (2,3) ") == [(1, (c((2, 3)),))]
+    # a product keeps its words in order, and its rationals multiply
+    assert parse_expression("2*(3)*1/3*(2)") == [(Fraction(2, 3), (c((3,)), c((2,))))]
+    # a leading sign belongs to the first term; a rational alone is the empty product
+    assert parse_expression("-(3) + 1/2") == [(-1, (c((3,)),)), (Fraction(1, 2), ())]
+    assert parse_expression("+(2)-(2)") == [(1, (c((2,)),)), (-1, (c((2,)),))]
+    # the sign of an exponent splits no term
+    assert parse_expression("1e-5*(3) - 2.5E+1*(2)") == [
+        (Fraction(1, 100000), (c((3,)),)), (-25, (c((2,)),))]
+    assert all(type(q) is Fraction for q, _ in parse_expression("2*(3) - 1.5"))
+
+
+@pytest.mark.parametrize("text", [
+    "28*(3,9) + 150*(5,7) + 168*(7,5) - 5197/691*(12)", "(3,9)", "-(3)", "-1/2", "1",
+    "(2)*(3) - (2,3)", "-2*(3)*(2) + 1/100000*(4) - 11*(2)", "-11*(2) - 1/11*(3)"])
+def test_expressions_print_as_they_read(text):
+    assert format_expression(parse_expression(text)) == text
+
+
+def test_expression_words_print_through_a_format():
+    assert (format_expression(parse_expression("-(3)+(2)*(2) - 1e-5"), "zeta%s")
+            == "-zeta(3) + zeta(2)*zeta(2) - 1/100000")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty factor"), ("(3) +", "empty factor"), ("(3) + -(2)", "empty factor"),
+    ("2**(3)", "empty factor"), ("(1,2", "composition literal"),
+    ("x*(3)", "invalid literal for a coefficient: 'x'"),
+    ("(2)*inf", "invalid literal"), ("1/0*(3)", "zero denominator in '1/0'"),
+    ("0.0/1", "invalid literal")])
+def test_expression_errors(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_expression(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1e2000", "1e-2000", "5.5e2000", "1" * 2001, "1/" + "1" * 2001, "1" * 2001 + "/3",
+    "1e9999999", "1e999999999"])
+def test_coefficients_past_max_digits_are_refused_from_the_text(text):
+    # Fraction("1e9999999") alone takes seconds; the text decides first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="has more than %d digits" % MAX_DIGITS):
+        parse_expression(text + "*(3)")
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("text", ["1e1999", "1e-1999", "5.5e1999", "1" * 2000,
+                                  "1/" + "1" * 2000])
+def test_coefficients_at_max_digits_are_read(text):
+    assert parse_expression(text) == [(Fraction(text), ())]
 
 
 def test_ordering_is_by_weight_then_parts():
