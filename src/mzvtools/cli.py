@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 from functools import lru_cache, reduce
 
 from mpmath import mp, mpf
@@ -27,7 +28,7 @@ from . import __version__
 from .algebra import shuffle, stuffle, stuffle_combo
 from .detect import check_search, detect
 from .dims import dimension, weight_counts
-from .errors import integer_in
+from .errors import MAX_DIGITS, integer_in
 from .feynman import (Graph, check_match_weight, is_primitive_log_divergent,
                       kirchhoff_polynomial, match_period, period_monte_carlo)
 from .lincomb import LinComb
@@ -59,13 +60,13 @@ def _parse_word_literal(text):
 def _hoffman_vector(terms, max_weight):
     """The exact reading of an expression: each product expanded by stuffle,
     each word decomposed over the Hoffman words, and the terms summed.  A
-    combination of mixed weights is refused."""
-    # a word with coefficient 1 needs neither a product nor a sum
-    if len(terms) == 1 and terms[0][0] == 1 and len(terms[0][1]) == 1:
-        return decompose_in_hoffman_basis(terms[0][1][0], max_weight)
+    combination of mixed weights, or with a divergent factor, is refused."""
     weights = sorted({sum(w.weight for w in words) for _, words in terms})
     if len(weights) > 1:
         raise ValueError("a decomposition needs one weight, got weights %s" % weights)
+    divergent = [w for _, words in terms for w in words if not w.is_convergent]
+    if divergent:
+        raise ValueError("%s diverges; only convergent words decompose" % (divergent[0],))
     products = [(c, reduce(stuffle_combo, map(LinComb.term, words or (Composition(),))))
                 for c, words in terms]
     return LinComb([(h, c * cp * ch) for c, product in products for p, cp in product
@@ -73,26 +74,32 @@ def _hoffman_vector(terms, max_weight):
 
 
 def _value(terms, digits):
-    """The numeric reading of an expression.  One word alone is
-    ``mzv_eval(word, digits)`` with its coefficient applied at digits +
-    GUARD.  Any other expression evaluates each distinct word once, at
-    digits + GUARD plus the digits of the sum of |c| 2^k over its terms (a
-    product of k words is below 2^k, each below zeta(2) < 2), and rounds the
-    sum once: a product keeps relative digits, and a sum, whose terms may
-    cancel, has absolute ones: its error is below 10^-digits max(1, |value|).
+    """The numeric reading of an expression.  A word with coefficient 1 is
+    ``mzv_eval(word, digits)``.  Any other expression evaluates each
+    distinct word once at digits + GUARD, and a sum, whose terms may
+    cancel, at the digits of the sum of |c| 2^k over its terms more (a
+    product of k words is below 2^k, each below zeta(2) < 2).  A product
+    keeps relative digits; a sum has absolute ones, its error below
+    10^-digits max(1, |value|), and is rounded once to them.  Working digits
+    above MAX_DIGITS are refused before any word is evaluated.
     """
-    single = len(terms) == 1 and len(terms[0][1]) == 1
-    if single and terms[0][0] == 1:  # a word with coefficient 1: its value as it is
+    digits = integer_in(digits, "digits", 1, MAX_DIGITS)
+    if len(terms) == 1 and terms[0][0] == 1 and len(terms[0][1]) == 1:
         return mzv_eval(terms[0][1][0], digits)
     size = sum(abs(c) * 2 ** len(words) for c, words in terms).numerator
-    # one word at the digits, scaled at digits + GUARD; any other expression at
-    # log10(size) digits more, since 2^b < 10^(0.302 b) for a b-bit size
-    at = digits if single else digits + GUARD + size.bit_length() * 302 // 1000 + 1
-    dps = max(at, digits + GUARD)
-    values = {w: mzv_eval(w, at).value for _, words in terms for w in words}
+    # 2^b < 10^(0.302 b) for a b-bit size
+    dps = digits + GUARD + (size.bit_length() * 302 // 1000 + 1 if len(terms) > 1 else 0)
+    if dps > MAX_DIGITS:
+        raise ValueError("%d digits of this expression need %d working digits, more "
+                         "than the cap MAX_DIGITS = %d" % (digits, dps, MAX_DIGITS))
+    values = {w: mzv_eval(w, dps).value for _, words in terms for w in words}
     with mp.workdps(dps):
         total = mp.fsum(mpf(c.numerator) / c.denominator
                         * mp.fprod(values[w] for w in words) for c, words in terms)
+        if len(terms) > 1:  # rounded once at 10^-digits max(1, |total|), kept exact
+            # less the digits of the integer part, none below 1
+            places = digits - len(str(abs(int(total))).lstrip("0"))
+            total = Fraction(int(mp.nint(total * mpf(10) ** places))) / Fraction(10) ** places
     return BigReal(total, digits)
 
 

@@ -56,22 +56,19 @@ DEFAULT_SEED = 42
 
 
 class BigReal(_Immutable):
-    """A real number rounded to an explicit number of decimal digits.
+    """A real number printed to an explicit number of decimal digits.
 
     ``value`` is a Fraction or anything mpf reads, such as an exact
-    (mantissa, exponent) pair of ints, which is rounded once.
+    (mantissa, exponent) pair of ints.  It is kept at digits + GUARD, so
+    that printing rounds it to the digits once.
     """
 
     __slots__ = ("value", "digits")
 
     def __init__(self, value, digits):
         digits = integer_in(digits, "digits", 1)
-        if isinstance(value, Fraction):
-            with mp.workdps(digits):
-                value = mpf(value.numerator) / value.denominator
-        else:
-            with mp.workdps(digits):
-                value = mpf(value)
+        with mp.workdps(digits + GUARD):
+            value = mp.convert(value) if isinstance(value, Fraction) else mpf(value)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "digits", digits)
 

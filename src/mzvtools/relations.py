@@ -247,23 +247,13 @@ def decompose_in_hoffman_basis(comp, max_weight=DEFAULT_MAX_WEIGHT):
     matrix = relation_table(weight, max_weight)
     rref = echelon_form(matrix)
     col = matrix.column_of(comp)
-    if col in rref.pivot_rows:
-        terms = []
-        bad = []
-        for cc, v in rref.pivot_rows[col].items():
-            if cc == col:
-                continue
-            w = matrix.basis[cc]
-            if is_hoffman(w):
-                terms.append((w, -v))
-            else:
-                bad.append(w)
-        if bad:
-            raise InsufficientRelationsError(comp, sorted(bad))
-        return LinComb(terms)
-    if is_hoffman(comp):
-        return LinComb.term(comp)
-    raise InsufficientRelationsError(comp, [comp])
+    # a pivot word is minus the rest of its row, a free word is itself
+    terms = ([(matrix.basis[cc], -v) for cc, v in rref.pivot_rows[col].items() if cc != col]
+             if col in rref.pivot_rows else [(comp, 1)])
+    bad = sorted(w for w, _ in terms if not is_hoffman(w))
+    if bad:
+        raise InsufficientRelationsError(comp, bad)
+    return LinComb(terms)
 
 
 def hoffman_words(weight):

@@ -158,6 +158,13 @@ def test_hoffman_decompose_refuses_mixed_weights(capsys):
     assert err == "error: a decomposition needs one weight, got weights [4, 5]\n"
 
 
+def test_hoffman_decompose_names_the_divergent_factor(capsys):
+    # the stuffle term (2,1) used to be named, not the factor (1) as written
+    code, out, err = run(capsys, "hoffman-decompose", "(1)*(2)")
+    assert (code, out) == (1, "")
+    assert err == "error: (1) diverges; only convergent words decompose\n"
+
+
 def test_eval_of_a_sum_says_its_digits_are_absolute(capsys):
     code, out, _ = run(capsys, "eval", "(2)*(3) - (2,3) - (3,2) - (5)", "--digits", "30")
     assert code == 0
@@ -188,6 +195,60 @@ def test_eval_of_a_sum_with_large_coefficients_keeps_absolute_digits(capsys):
     code, out, _ = run(capsys, "eval", "1e100*(1,2) - 1e100*(3)", "--digits", "30")
     assert code == 0
     assert abs(mpf(out.split(" = ")[1].split()[0])) < mpf(10) ** -30
+
+
+def test_eval_of_a_sum_prints_only_its_absolute_digits(capsys):
+    # the Gangl-Kaneko-Zagier relation cancels below 10^-40: nothing prints
+    gkz = "28*(3,9) + 150*(5,7) + 168*(7,5) - 5197/691*(12)"
+    code, out, _ = run(capsys, "eval", gkz, "--digits", "40")
+    assert (code, out.split(" = ")[1]) == (0, "0.0  (absolute digits)\n")
+    code, out, _ = run(capsys, "eval", gkz, "--digits", "40", "--json")
+    result = json.loads(out)["result"]
+    assert (result["value"], result["digits"], result["absolute"]) == ("0.0", 40, True)
+    # 10^-35 zeta(2) keeps the digits above 10^-40, rounded once
+    code, out, _ = run(capsys, "eval", "1e-35*(2) + (3) - (3)", "--digits", "40")
+    assert out.split(" = ")[1] == "1.64493e-35  (absolute digits)\n"
+    # above 1 the digits are relative: 10^5 zeta(2) - zeta(3) = 164492.204...
+    code, out, _ = run(capsys, "eval", "1e5*(2) - (3)", "--digits", "5")
+    assert out.split(" = ")[1] == "1.6449e+5  (absolute digits)\n"
+
+
+@pytest.mark.parametrize("expr, digits, working", [("(2)*(3)", 1995, 2005),
+                                                   ("1e1999*(2) - (3)", 10, 2026)])
+def test_eval_past_the_working_digits_cap_names_both_digits(monkeypatch, capsys,
+                                                            expr, digits, working):
+    # a product needs GUARD digits more, a sum those of its coefficients too
+    evaluated = []
+    monkeypatch.setattr(cli, "mzv_eval", lambda *a: evaluated.append(a))
+    code, out, err = run(capsys, "eval", expr, "--digits", str(digits))
+    assert (code, out, evaluated) == (1, "", [])
+    assert err == ("error: %d digits of this expression need %d working digits, more "
+                   "than the cap MAX_DIGITS = 2000\n" % (digits, working))
+
+
+def _printed(capsys, expr, digits):
+    assert main(["eval", expr, "--digits", str(digits)]) == 0
+    return capsys.readouterr().out.split(" = ")[1].strip()
+
+
+@pytest.mark.parametrize("digits", [10, 15, 20, 25, 30, 40])
+def test_eval_prints_zeta_values_correctly_rounded(capsys, digits):
+    # the value was rounded to the digits in binary and then again in decimal:
+    # zeta(18) = 1.000003817293264999... printed ...327 at 15 digits
+    for s in range(2, 40):
+        with mp.workdps(digits + 30):
+            expected = mp.nstr(mp_zeta(s), digits)
+        assert _printed(capsys, "(%d)" % s, digits) == expected, s
+
+
+@pytest.mark.parametrize("s", [3, 5, 7])
+def test_eval_prints_scaled_zeta_values_correctly_rounded(capsys, s):
+    # 17 of these printed a wrong last digit: 8*zeta(5) = 8.29542204114695941065...
+    # printed ...106
+    for c in range(2, 200):
+        with mp.workdps(50):
+            expected = mp.nstr(c * mp_zeta(s), 20)
+        assert _printed(capsys, "%d*(%d)" % (c, s), 20) == expected, c
 
 
 def test_detect_refuses_an_oversized_coefficient_before_evaluating(monkeypatch, capsys):
