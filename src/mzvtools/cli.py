@@ -263,10 +263,8 @@ def _dispatch(args):
         result = detect(values, args.digits, args.height_bound)
         lines = [str(result)]
         if result.found:
-            terms = " ".join("%s %d*[%s]" % ("-" if c < 0 else "+", abs(c), e)
-                             for c, e in zip(result.coefficients, args.exprs) if c)
-            # detect makes the first nonzero coefficient positive: drop its "+ "
-            lines.append("  i.e.  " + terms[2:] + " = 0")
+            relation = [(c, (e,)) for c, e in zip(result.coefficients, args.exprs) if c]
+            lines.append("  i.e.  %s = 0" % format_expression(relation, "[%s]"))
         return result.to_json_obj(), lines, args.digits, None
 
     if cmd == "feynman":

@@ -46,6 +46,7 @@ from .errors import _Immutable, check, integer_in
 from .linalg import bareiss_det
 from .numerics import (DEFAULT_SEED, GUARD, monte_carlo, mzv_eval,
                        zeta_euler_maclaurin)
+from .words import format_expression, parse_expression
 
 MAX_TREES = 300_000
 # The primitivity scan takes 2^V * edges steps: 3-5 s for the wheel on 20
@@ -331,46 +332,50 @@ def _partitions(total, largest):
 
 
 def period_candidates(weight):
-    """Known constants of a weight: products of simple zetas over the
-    partitions into parts >= 2, the depth-2 zeta values, and for weight 8
-    the wheel-type combination."""
+    """Known constants of a weight, as ``(label, terms, value)`` triples: the
+    products of simple zetas over the partitions into parts >= 2, the
+    depth-2 zeta values, and for weight 8 the wheel-type combination.
+
+    Each candidate is an expression that ``parse_expression`` reads, and
+    ``terms`` is its reading; ``label`` prints it with ``zeta(...)`` words.
+    Each distinct word is evaluated once, a simple zeta by Euler-Maclaurin
+    and a deeper word by ``mzv_eval``.
+    """
     from mpmath import mp
     digits = CANDIDATE_DIGITS
-    partitions = list(_partitions(weight, weight))
-    out = []
+    exprs = ["*".join("(%d)" % p for p in parts) for parts in _partitions(weight, weight)]
+    exprs += ["(%d,%d)" % (a, weight - a) for a in range(1, weight - 1)]
+    if weight == 8:
+        # The wheel-type combination of the census (Schnetz, arXiv:0801.2856),
+        # whose zeta(5,3) is sum_{m>n} m^-5 n^-3: the 5 sits on the larger
+        # index, which is the order (3,5) here.
+        exprs.append("27/5*(3,5) + 45/4*(5)*(3) - 261/20*(8)")
+    candidates = [tuple(parse_expression(e)) for e in exprs]
     with mp.workdps(digits + GUARD):
-        zeta = {s: zeta_euler_maclaurin(s, digits).value
-                for s in sorted({p for parts in partitions for p in parts})}
-        for parts in partitions:
-            label = "*".join("zeta(%d)" % p for p in parts)
-            value = 1
-            for p in parts:
-                value = value * zeta[p]
-            out.append((label, value))
-        for a in range(1, weight - 1):
-            b = weight - a
-            out.append(("zeta(%d,%d)" % (a, b), mzv_eval((a, b), digits).value))
-        if weight == 8:
-            # The wheel-type combination of the census (Schnetz,
-            # arXiv:0801.2856), whose zeta(5,3) is sum_{m>n} m^-5 n^-3: the 5
-            # sits on the larger index, which is the order (3,5) here.
-            out.append(("27/5*zeta(3,5)+45/4*zeta(5)*zeta(3)-261/20*zeta(8)",
-                        Fraction(27, 5) * mzv_eval((3, 5), digits).value
-                        + Fraction(45, 4) * zeta[5] * zeta[3]
-                        - Fraction(261, 20) * zeta[8]))
-    return tuple(out)
+        distinct = dict.fromkeys(w for terms in candidates for _, words in terms for w in words)
+        values = {w: (zeta_euler_maclaurin(w.parts[0], digits) if w.depth == 1
+                      else mzv_eval(w, digits)).value for w in distinct}
+        # each product is taken left to right from its coefficient
+        return tuple((format_expression(terms, "zeta%s"), terms,
+                      sum(math.prod([values[w] for w in words], start=c) for c, words in terms))
+                     for terms in candidates)
 
 
 class PeriodMatch(NamedTuple):
+    """A rational multiple q of a candidate constant: q is ``coefficient``,
+    and the candidate is ``label`` as printed and ``terms`` as read."""
+
     coefficient: Fraction
     label: str
     value: float
     score: float
+    terms: tuple
 
     def __str__(self):
-        c = self.coefficient
-        coef = "" if c == 1 else ("%s*" % c)
-        return "%s%s = %.8g  (%.2f sigma)" % (coef, self.label, self.value, self.score)
+        q = self.coefficient
+        return "%s = %.8g  (%.2f sigma)" % (
+            format_expression([(q * c, words) for c, words in self.terms], "zeta%s"),
+            self.value, self.score)
 
     __repr__ = __str__
 
@@ -404,7 +409,7 @@ def match_period(estimate, error, weight):
     error = max(error, math.ulp(estimate))
     weight = check_match_weight(weight)
     matches = []
-    for label, value in period_candidates(weight):
+    for label, terms, value in period_candidates(weight):
         v = float(value)
         lo = (estimate - ACCEPT_SIGMA * error) / v
         hi = (estimate + ACCEPT_SIGMA * error) / v
@@ -415,7 +420,7 @@ def match_period(estimate, error, weight):
                     continue
                 q = Fraction(a, b)
                 score = abs(estimate - float(q) * v) / error
-                matches.append(PeriodMatch(q, label, float(q) * v, score))
+                matches.append(PeriodMatch(q, label, float(q) * v, score, terms))
     matches.sort(key=lambda m: (m.score, m.coefficient.denominator,
                                 abs(m.coefficient.numerator), m.label))
     return matches

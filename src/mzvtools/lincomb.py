@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import _Immutable
+from .words import format_expression
 
 
 class LinComb(_Immutable):
@@ -99,19 +100,7 @@ class LinComb(_Immutable):
         return iter(self.terms())
 
     def __str__(self):
-        if not self._coeffs:
-            return "0"
-        bits = []
-        for w, c in self.terms():
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            coef = "" if mag == 1 else str(mag) + "*"
-            bits.append((sign, coef + str(w)))
-        first_sign, first = bits[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, text in bits[1:]:
-            out += " %s %s" % (sign, text)
-        return out
+        return format_expression([(c, (w,)) for w, c in self.terms()])
 
     def __repr__(self):
         return "LinComb(%s)" % (self,)

@@ -282,11 +282,22 @@ def parse_expression(text):
 
 
 def format_expression(terms, word="%s"):
-    """Write the terms of ``parse_expression`` back in the form it reads,
-    each composition through the format ``word``."""
-    # a coefficient of 1 is left out before a word; -1*(3) reads -(3) and + -(3) reads - (3)
-    return " + ".join("*".join([str(c)] * (c != 1 or not words) + [word % w for w in words])
-                      for c, words in terms).replace("-1*", "-").replace("+ -", "- ")
+    """Write a rational combination of products of words, as ``(coefficient,
+    (word, ...))`` terms, in the form ``parse_expression`` reads, each word
+    through the format ``word``: the one printer of such combinations.
+
+    Each term's sign is written from its coefficient, a minus before the
+    first term and `` + `` or `` - `` between terms, and a coefficient of 1
+    is left out before a word; a word's own text is never rewritten.  No
+    terms print as ``0``.
+    """
+    out = []
+    for c, words in terms:
+        body = "*".join([str(abs(c))] * (abs(c) != 1 or not words)
+                        + [word % (w,) for w in words])
+        sign = ("-" if c < 0 else "") if not out else ("- " if c < 0 else "+ ")
+        out.append(sign + body)
+    return " ".join(out) if out else "0"
 
 
 def parse_binary_word(text):

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import json
+import re
 import shlex
 import time
 from functools import lru_cache
@@ -14,6 +15,7 @@ from mpmath import mp, mpf, zeta as mp_zeta
 
 from mzvtools import cli, feynman, numerics, relations
 from mzvtools.cli import main
+from mzvtools.words import enumerate_compositions
 
 # the module, which the package's detect function shadows
 DETECT = importlib.import_module("mzvtools.detect")
@@ -130,7 +132,15 @@ def test_detect_euler(capsys):
     code, out, _ = run(capsys, "detect", "(1,2)", "(3)", "--digits", "40")
     assert code == 0
     assert "[1, -1]" in out
-    assert "  i.e.  1*[(1,2)] - 1*[(3)] = 0" in out.splitlines()
+    assert "  i.e.  [(1,2)] - [(3)] = 0" in out.splitlines()
+
+
+def test_detect_relation_line_keeps_each_expression_as_typed(capsys):
+    # (3) - (1,2) is 0, so the relation is [1, 0]; the expression's own
+    # "-1*" is printed as typed, not rewritten
+    code, out, _ = run(capsys, "detect", "--", "(3)-1*(1,2)", "(3)")
+    assert code == 0
+    assert "  i.e.  [(3)-1*(1,2)] = 0" in out.splitlines()
 
 
 def test_detect_with_rational_factors(capsys):
@@ -150,6 +160,39 @@ def test_hoffman_decompose_expands_products(capsys):
     assert (code, out) == (0, "(2)*(3) - (5) = (2,3) + (3,2)\n")
     # the empty product of a rational alone is the empty word
     assert run(capsys, "hoffman-decompose", "--", "-1/2")[:2] == (0, "-1/2 = -1/2*()\n")
+
+
+# about 0.4 s on a 2-vCPU host; weight 10 would add about 1 s more
+ROUND_TRIP_WEIGHTS = range(2, 10)
+
+
+def test_printed_combinations_read_back(capsys):
+    # what the CLI prints over compositions, parse_expression reads back:
+    # every relation row decomposes to 0, and every decomposition of a
+    # convergent word, read back, decomposes to itself
+    for weight in ROUND_TRIP_WEIGHTS:
+        code, out, _ = run(capsys, "relations", "--weight", str(weight))
+        assert code == 0
+        for line in out.splitlines()[:-1]:
+            relation = line.split(" = 0   [")[0]
+            assert run(capsys, "hoffman-decompose", "--", relation)[:2] == (
+                0, "%s = 0\n" % relation)
+        for word in enumerate_compositions(weight, convergent_only=True):
+            code, out, _ = run(capsys, "hoffman-decompose", str(word))
+            assert code == 0
+            combo = out.rstrip("\n").split(" = ")[1]
+            assert run(capsys, "hoffman-decompose", "--", combo)[:2] == (
+                0, "%s = %s\n" % (combo, combo))
+
+
+def test_the_console_script_names_main():
+    # pyproject.toml is read with a regex: tomllib needs Python 3.11
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S)
+    target = re.fullmatch(r'mzv = "([\w.]+):(\w+)"', scripts.group(1).strip())
+    assert target is not None
+    module = importlib.import_module(target.group(1))
+    assert getattr(module, target.group(2)) is cli.main
 
 
 def test_hoffman_decompose_refuses_mixed_weights(capsys):

@@ -508,18 +508,54 @@ def test_match_weight_six_product():
 
 def test_weight_eight_combination_is_a_known_constant():
     from mzvtools.feynman import period_candidates
-    table = dict(period_candidates(8))
+    table = {label: value for label, _, value in period_candidates(8)}
     # the census's zeta(5,3) = sum_{m>n} m^-5 n^-3 is the order (3,5) here;
     # the other order was listed too until it was settled
-    label = "27/5*zeta(3,5)+45/4*zeta(5)*zeta(3)-261/20*zeta(8)"
+    label = "27/5*zeta(3,5) + 45/4*zeta(5)*zeta(3) - 261/20*zeta(8)"
     assert label in table
-    assert "27/5*zeta(5,3)+45/4*zeta(5)*zeta(3)-261/20*zeta(8)" not in table
+    assert "27/5*zeta(5,3) + 45/4*zeta(5)*zeta(3) - 261/20*zeta(8)" not in table
     assert mzv_eval((3, 5), 30).nstr() == "0.0377076729848475440113047822937"
     value = float(table[label])
     matches = match_period(value * 0.999, 0.005 * value, 8)
     hit = [m for m in matches if m.label == label]
     assert hit and hit[0].coefficient == 1
     assert hit[0].score <= 3
+
+
+@pytest.mark.parametrize("q,text", [
+    (2, "54/5*zeta(3,5) + 45/2*zeta(5)*zeta(3) - 261/10*zeta(8) = 2.2458626  (0.00 sigma)"),
+    (-1, "-27/5*zeta(3,5) - 45/4*zeta(5)*zeta(3) + 261/20*zeta(8) = -1.1229313  (0.00 sigma)")])
+def test_a_scaled_sum_prints_every_term_scaled(q, text):
+    # q times a sum is printed term by term, not as a prefix "q*" before
+    # its first term, which would scale that term alone
+    from mzvtools.feynman import period_candidates
+    combination = float(period_candidates(8)[-1][2])
+    best = match_period(q * combination, 1e-9 * abs(combination), 8)[0]
+    assert str(best) == text
+    assert best.label == "27/5*zeta(3,5) + 45/4*zeta(5)*zeta(3) - 261/20*zeta(8)"
+    assert best.coefficient == q
+
+
+@pytest.mark.parametrize("weight", [3, 8, 12])
+def test_candidates_are_expressions_with_each_word_evaluated_once(weight, monkeypatch):
+    from mzvtools.feynman import period_candidates
+    from mzvtools.words import format_expression, parse_expression
+    calls = []
+    for name in ("mzv_eval", "zeta_euler_maclaurin"):
+        real = getattr(feynman, name)
+        monkeypatch.setattr(feynman, name, lambda w, d, real=real, name=name: (
+            calls.append((name, w)), real(w, d))[1])
+    candidates = period_candidates(weight)
+    for label, terms, _ in candidates:
+        # the label is the expression printed with zeta(...) words, and the
+        # expression reads back to the candidate's terms
+        assert label == format_expression(terms, "zeta%s")
+        assert parse_expression(format_expression(terms)) == list(terms)
+    words = {w for _, terms, _ in candidates for _, ws in terms for w in ws}
+    assert len(calls) == len(words)
+    assert {w for _, w in calls} == {w.parts[0] for w in words if w.depth == 1} | {
+        w for w in words if w.depth > 1}
+    assert all((name == "zeta_euler_maclaurin") == isinstance(w, int) for name, w in calls)
 
 
 def test_match_rejects_out_of_range_weight():

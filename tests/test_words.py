@@ -201,6 +201,15 @@ def test_expression_words_print_through_a_format():
             == "-zeta(3) + zeta(2)*zeta(2) - 1/100000")
 
 
+def test_the_printer_never_rewrites_a_word():
+    # signs come from the coefficients alone; a word's text, "-1*" or
+    # "+ -" in it included, is printed as it is
+    assert format_expression([(1, ("a-1*b",)), (-1, ("+ -c",))]) == "a-1*b - + -c"
+    assert format_expression([(-1, ("x",)), (-1, ()), (Fraction(-3, 2), ("y", "z"))],
+                             "[%s]") == "-[x] - 1 - 3/2*[y]*[z]"
+    assert format_expression([]) == "0"
+
+
 @pytest.mark.parametrize("text,message", [
     ("", "empty factor"), ("(3) +", "empty factor"), ("(3) + -(2)", "empty factor"),
     ("2**(3)", "empty factor"), ("(1,2", "composition literal"),
