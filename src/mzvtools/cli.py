@@ -21,6 +21,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain
 
 from mpmath import mp, mpf
 
@@ -112,8 +113,8 @@ def _build_parser():
         description="exact and numeric toolkit for multiple zeta values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, help_text, parent=sub):
+        p = parent.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON with a run manifest")
         return p
 
@@ -157,11 +158,16 @@ def _build_parser():
     p.add_argument("--digits", type=int, default=60)
     p.add_argument("--height-bound", type=int, default=10 ** 6)
 
-    p = add("feynman", "graph polynomial, divergence check, or period estimate")
-    p.add_argument("action", choices=("psi", "check", "period"))
-    p.add_argument("graph", help="path to a graph file, or a literal graph string")
+    # one parser per action, so only period takes the sampling options; --json
+    # sits on each action, where no subparser default can overwrite it
+    actions = sub.add_parser("feynman", help="graph polynomial, divergence check, or period "
+                             "estimate").add_subparsers(dest="action", required=True)
+    for name, help_text in (("psi", "Kirchhoff polynomial"), ("check", "primitive log-divergence"),
+                            ("period", "Monte Carlo period estimate")):
+        p = add(name, help_text, actions)
+        p.add_argument("graph", help="path to a graph file, or a literal graph string")
     p.add_argument("--samples", default="1e6",
-                   help="sample count for period, e.g. 1e7")
+                   help="sample count, e.g. 1e7")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--match-weight", type=int, default=None,
                    help="also rank known constants of this weight against the estimate")
@@ -169,17 +175,16 @@ def _build_parser():
 
 
 def _load_graph(arg):
-    text = arg
     try:
         with open(arg) as handle:
-            text = handle.read()
-    except OSError:
-        pass  # treat the argument as a literal graph string
-    return Graph.parse(text)
+            return Graph.parse(handle.read())
+    except OSError:  # treat the argument as a literal graph string
+        return Graph.parse(arg)
 
 
 def _dispatch(args):
-    """Returns (result_obj, text_lines, precision, seed)."""
+    """Returns (result_obj, text_lines, precision, seed); text_lines is an
+    iterable, read only in text mode."""
     cmd = args.command
 
     if cmd == "shuffle":
@@ -212,16 +217,12 @@ def _dispatch(args):
     if cmd == "dims":
         if args.table is not None:
             counts = weight_counts(integer_in(args.table, "--table", 0, MAX_TABLE))
-            rows = [{"weight": n, "d": d,
-                     "words": 2 ** (n - 2) if n >= 2 else (1 if n == 0 else 0),
-                     "hoffman": hoffman, "f_monomials": f_monomials}
-                    for n, (d, hoffman, f_monomials) in enumerate(counts)]
+            rows = [(n, d, 2 ** (n - 2) if n >= 2 else (1 if n == 0 else 0), hoffman, f)
+                    for n, (d, hoffman, f) in enumerate(counts)]
+            keys = ("weight", "d", "words", "hoffman", "f_monomials")
             lines = ["weight  d_n  2^(n-2)  hoffman  f-monomials"]
-            for r in rows:
-                lines.append("%6d %4d %8d %8d %12d"
-                             % (r["weight"], r["d"], r["words"], r["hoffman"],
-                                r["f_monomials"]))
-            return {"table": rows}, lines, None, None
+            lines += ["%6d %4d %8d %8d %12d" % r for r in rows]
+            return {"table": [dict(zip(keys, r)) for r in rows]}, lines, None, None
         # fail on a bad N before any table is built, not hours into the run
         check_weight(args.max, args.max_weight)
         rows = []
@@ -291,7 +292,8 @@ def _dispatch(args):
         if args.match_weight is not None:
             matches = match_period(est.value, est.stderr, args.match_weight)
             obj["matches"] = [m.to_json_obj() for m in matches]
-            lines.extend("  candidate: %s" % (m,) for m in matches)
+            # formatted only when the text is printed
+            lines = chain(lines, ("  candidate: %s" % (m,) for m in matches))
         return obj, lines, None, args.seed
 
     raise AssertionError("unhandled command %r" % (cmd,))

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import shuffle, stuffle
+# the names perfbench wraps here
+from .algebra import _shuffle_letters as shuffle, _stuffle_parts as stuffle
 from .dims import count_hoffman_words, dimension
 from .errors import _Immutable, check, integer_in
 from .lincomb import LinComb
@@ -69,11 +70,11 @@ def _relation_row(m, n, columns):
     raises InvariantError.
     """
     acc = {}
-    for u, c in shuffle(m.to_binary(), n.to_binary()).terms():
-        parts = letters_to_parts(u.letters)
-        acc[parts] = acc.get(parts, 0) + int(c)
-    for w, c in stuffle(m, n).terms():
-        acc[w.parts] = acc.get(w.parts, 0) - int(c)
+    for u, c in shuffle(m.to_binary().letters, n.to_binary().letters):
+        parts = letters_to_parts(u)
+        acc[parts] = acc.get(parts, 0) + c
+    for p, c in stuffle(m.parts, n.parts):
+        acc[p] = acc.get(p, 0) - c
     stray = [str(Composition(p)) for p, c in acc.items() if c and p not in columns]
     check(not stray, "%s|%s leaves terms outside the convergent words: %s"
           % (m, n, ", ".join(stray)))

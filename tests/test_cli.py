@@ -402,6 +402,37 @@ def test_feynman_period_lists_candidates(capsys):
     assert all(line.startswith("  candidate: ") and "sigma)" in line for line in lines[1:])
 
 
+def test_feynman_period_json_formats_no_candidate_line(monkeypatch, capsys):
+    # the candidates go into the JSON result; their text lines are never built
+    def refuse(self):
+        raise AssertionError("candidate line formatted")
+    monkeypatch.setattr(feynman.PeriodMatch, "__str__", refuse)
+    code, out, err = run(capsys, "feynman", "period", "V=4; 1-2,1-3,1-4,2-3,2-4,3-4",
+                         "--samples", "1e4", "--match-weight", "3", "--json")
+    assert (code, err) == (0, "")
+    assert manifest_of(out)["result"]["matches"]
+
+
+@pytest.mark.parametrize("option", [["--samples", "1e4"], ["--seed", "3"],
+                                    ["--match-weight", "5"]])
+@pytest.mark.parametrize("action", ["psi", "check"])
+def test_feynman_sampling_options_belong_to_period(capsys, action, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["feynman", action, "V=4; 1-2,1-3,1-4,2-3,2-4,3-4"] + option)
+    assert exc.value.code == 2
+    assert option[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["psi", "check"])
+def test_feynman_psi_and_check_manifests_hold_only_their_arguments(capsys, action):
+    graph = "V=4; 1-2,1-3,1-4,2-3,2-4,3-4"
+    code, out, _ = run(capsys, "feynman", action, graph, "--json")
+    assert code == 0
+    manifest = manifest_of(out)["manifest"]
+    assert manifest["parameters"] == {"action": action, "graph": graph}
+    assert manifest["seed"] is None
+
+
 def test_feynman_psi_refuses_too_many_trees_before_enumerating(monkeypatch, capsys):
     def enumerate_trees(vertices, edges):
         raise AssertionError("spanning trees enumerated")
