@@ -36,10 +36,11 @@ from .errors import check
 from .lincomb import LinComb
 from .words import BinaryWord, Composition, GenericWord
 
-# At least four times the largest working set seen: 7,963 shuffle and 5,792
-# stuffle entries for the weight 2-12 relation tables, 8,190 and 4,095 for
-# regularizing every word up to weight 12.
-_CACHE_SIZE = 2 ** 15
+# The smallest power of two that holds every product of a cold weight-14
+# relation build, build_relation_matrix(14, True, 14): 36,303 shuffle and
+# 22,672 stuffle entries, none evicted.  The weight 2-12 tables take 7,963
+# and 5,792, and regularizing every word up to weight 12 takes 8,190 and 4,095.
+_CACHE_SIZE = 2 ** 16
 
 
 def _quasi_shuffle(product, merge, u, v):

@@ -30,7 +30,8 @@ Each batch of samples is transposed, a chunk at a time, into edge-major
 rows of u and 1 - u; each monomial's two products are taken left to right
 into preallocated rows, in the order numpy's row-wise ``prod`` would take
 them.  Phi is therefore bit-identical to row-wise products over per-tree
-copies of the batch, without making those copies.
+copies of the batch, without making those copies.  numpy is imported by
+``period_monte_carlo`` alone, so the exact graph polynomials never load it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ import json
 import math
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import _Immutable, check, integer_in
 from .linalg import bareiss_det
@@ -292,6 +291,7 @@ def period_monte_carlo(graph, samples, seed=DEFAULT_SEED):
     integrand term, so ``monte_carlo`` refuses samples x (edges - 1 +
     monomials) above its cap before any sample is drawn.
     """
+    import numpy as np
     samples, seed = integer_in(samples, "samples", 2), integer_in(seed, "seed", 0)
     if not is_primitive_log_divergent(graph):
         raise ValueError("%s is not primitive log-divergent; the period "

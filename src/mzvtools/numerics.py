@@ -34,6 +34,9 @@ Simple zeta values have two independent routes for cross-checking: the
 Euler-Maclaurin corrected partial sum (any integer s >= 2), and for even s
 the closed form (2 pi)^s |B_s| / (2 s!) from the Bernoulli numbers, which
 are generated exactly from the integer tangent numbers.
+
+numpy is imported by ``_substream`` on the first Monte Carlo draw, so
+everything else here runs without loading it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .errors import MAX_DIGITS, _Immutable, check, integer_in
@@ -199,6 +201,7 @@ def zeta_euler_maclaurin(s, digits, cutoff=None, correction_terms=None):
     return BigReal(value, digits)
 
 
+@lru_cache(maxsize=2 ** 10)
 def _truncation_index(r, z, dps, limit):
     """An N with the tail of a depth-r series below 10^-(dps+1), for
     0 < z < 1, or None when no N up to ``limit`` will do.
@@ -207,7 +210,8 @@ def _truncation_index(r, z, dps, limit):
     most (N+1)^(r-1) z^(N+1) (r-1)! / (1-z)^r.  N is the first value of
     the search that passes this bound: it starts near dps / -log10(z) and
     steps by an eighth of N, so it may exceed the smallest N that passes
-    by up to about an eighth.
+    by up to about an eighth.  Memoized, as a sweep asks for the same few
+    arguments over and over.
     """
     p, q = z.numerator, z.denominator
     # -log10(z) from the ints, and near 1 from 1 - z = (q-p)/q: float(z)
@@ -434,6 +438,7 @@ MAX_SAMPLE_WORK = 2 * 10 ** 9
 
 
 def _substream(seed, index):
+    import numpy as np
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
 
 

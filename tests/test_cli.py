@@ -3,8 +3,11 @@
 import importlib
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from functools import lru_cache
 from pathlib import Path
@@ -193,6 +196,30 @@ def test_the_console_script_names_main():
     assert target is not None
     module = importlib.import_module(target.group(1))
     assert getattr(module, target.group(2)) is cli.main
+
+
+# Runs in a fresh interpreter, since pytest's own imports load numpy
+NUMPY_ON_FIRST_DRAW = """
+import contextlib, io, sys
+from mzvtools.cli import main
+exact = [["dims", "--max", "6"], ["relations", "--weight", "5"],
+         ["hoffman-decompose", "(1,5)"], ["shuffle", "10", "10"], ["stuffle", "(2)", "(3)"],
+         ["eval", "(3,9)", "--digits", "40"], ["detect", "(1,2)", "(3)", "--digits", "40"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in exact]
+print(codes, "numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["feynman", "period", "V=4; 1-2,1-3,1-4,2-3,2-4,3-4", "--samples", "1e4"])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def test_only_a_monte_carlo_draw_imports_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ON_FIRST_DRAW],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0] False", "0 True"]
 
 
 def test_hoffman_decompose_refuses_mixed_weights(capsys):

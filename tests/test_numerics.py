@@ -568,6 +568,20 @@ def test_every_word_through_weight_twelve_stays_below_the_work_cap():
             _term_counts(chain.from_iterable(halves), HALF, MAX_DIGITS + GUARD)
 
 
+def test_the_truncation_search_runs_once_per_distinct_argument(monkeypatch):
+    # a sweep asks for the same few (depth, z, dps, limit) over and over;
+    # the memo runs the search once for each and evicts none of them
+    asked = []
+    memo = numerics._truncation_index
+    monkeypatch.setattr(numerics, "_truncation_index",
+                        lambda *args: asked.append(args) or memo(*args))
+    memo.cache_clear()
+    for comp in enumerate_compositions(8, convergent_only=True):
+        mzv_eval(comp, 40)
+    assert len(asked) > len(set(asked))
+    assert memo.cache_info().misses == memo.cache_info().currsize == len(set(asked))
+
+
 def zagier_coefficients(a, b, factor=lambda r: 1 - Fraction(1, 4 ** r)):
     """The exact coefficients c_r, r = 1..K with K = a+b+1, of Zagier's
     formula (Annals 175, 2012) for zeta(2^a, 3, 2^b) in the index order of
