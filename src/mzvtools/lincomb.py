@@ -33,7 +33,8 @@ class LinComb(_Immutable):
         if hasattr(coeffs, "items"):
             coeffs = coeffs.items()
         for word, c in coeffs:
-            c = Fraction(c)
+            if type(c) is not Fraction:  # a Fraction is immutable and kept as it is
+                c = Fraction(c)
             if c:
                 # a repeated word merges into its earlier coefficient
                 if word in d:

@@ -6,7 +6,7 @@ results come back as ``BigReal`` values that carry their precision.  More
 than MAX_DIGITS digits, by any route, raise ValueError before any
 summation, as does a polylogarithm sum, for any z, whose kernel work
 exceeds MAX_KERNEL_WORK: per term, its depth weighted by the scale's size
-plus a constant for the loop, 0.07-0.21 us a unit.  The term counts
+plus a constant for the loop, 0.03-0.15 us a unit.  The term counts
 are found once, in that check, and handed to the kernel.  The digits are
 relative, however small the value: the first series term, a lower bound
 of the value, sets the working digits before the one sum.
@@ -25,8 +25,9 @@ z = 1/2, where the defining nested sums converge geometrically: about
 3.33 * digits terms each, for any weight.  A multiple polylogarithm at
 z = 1 is the multiple zeta value of its word and is evaluated the same way;
 a series is summed only for 0 < z < 1.  The polylogarithm itself is
-summed by the prefix-sum dynamic program in one loop over the N terms,
-costing depth * N integer operations, never N^depth, in O(depth) memory.
+summed by the prefix-sum dynamic program, costing depth * N integer
+operations, never N^depth: the N terms go in blocks of _BLOCK, each level
+of a block is one pass over its column, and memory is O(depth * _BLOCK).
 The two halves of every split share one scale, so their products are
 summed as ints.
 
@@ -45,7 +46,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain, repeat
+from operator import floordiv, rshift
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -229,12 +231,13 @@ def _truncation_index(r, z, dps, limit):
 
 # Kernel work units: per series term, the depth weighted by 1 + B/256 for a
 # scale of B bits, plus 3 for the loop itself.  On a 2-vCPU host a unit
-# takes 0.07-0.21 us, at z = 1/2 and just below 1, shallow or deep (zeta(3,9)
-# at MAX_DIGITS: 2.0e7 units in 2.2 s), so the cap is about 5-15 s of
-# summing.  Deep words cost less than counted, as their deep levels hold
-# small ints.  mzv_eval counts each distinct half once, as its cache sums
-# it once; the largest request of weight <= 12, (1,2,1,1,7) at MAX_DIGITS,
-# takes 2.2e7.
+# takes 0.03-0.15 us: 0.03-0.07 for Li_2(1/2), 0.06-0.11 for the half
+# Li_(3,9)(1/2) at 300 and 2000 digits, 0.09-0.13 for Li_2(1 - 10^-4), whose
+# last level is summed term by term (zeta(3,9) at MAX_DIGITS: 1.9e7 units
+# in 1.4 s), so the cap is about 2-10 s of summing.  Deep words cost less
+# than counted, as their deep levels hold small ints.  mzv_eval counts each
+# distinct half once, as its cache sums it once; the largest request of
+# weight <= 12, (1,2,1,1,7) at MAX_DIGITS, takes 2.2e7.
 MAX_KERNEL_WORK = 7 * 10 ** 7
 
 
@@ -266,16 +269,49 @@ def _scale_bits(dps):
     return math.ceil(dps * math.log2(10)) + 16
 
 
+# The kernel sums the terms in blocks of _BLOCK consecutive k, one level at
+# a time, and takes its divisors k^e from full-block tables shared by every
+# sum, whatever its term count: a shorter block stops at its own length.
+# Tables cover k < _TABLE_TERMS = 2^13, every term of a sum at z = 1/2 up to
+# MAX_DIGITS (at most 7,545), and parts e <= _TABLE_EXPONENT; other divisors
+# are raised to their powers term by term, as the terms past 2^13 of a sum
+# near z = 1 are used once, and the table of a larger part would hold ints
+# of KBs each for sums of a few dozen terms.  The cache is bounded by 512
+# entries, enough for every block and part of a weight-12 word at
+# MAX_DIGITS (30 blocks).  An entry holds _BLOCK ints of at most 13e bits:
+# at most 25 KB, so 13 MB for the whole cache.
+_BLOCK = 256
+_TABLE_TERMS = 2 ** 13
+_TABLE_EXPONENT = 32
+
+
+@lru_cache(maxsize=512)
+def _powers(e, start):
+    """k^e for the _BLOCK values of k from ``start``."""
+    return tuple(k ** e for k in range(start, start + _BLOCK))
+
+
+def _divisors(e, start, m):
+    """k^e for the m values of k from ``start``, m <= _BLOCK."""
+    if e <= _TABLE_EXPONENT and start < _TABLE_TERMS:
+        return _powers(e, start)
+    return map(pow, range(start, start + m), repeat(e))
+
+
 def _polylog_fixed(parts, z, bits, n):
     """The first n terms of Li_{parts}(z) = sum_{k1<...<kr} z^kr / prod ki^ni
     as an int scaled by 2^bits, for a nonempty ``parts`` and a Fraction z in
     (0, 1].
 
-    One loop over k keeps a running prefix sum per level: the column of
-    level j at k is the prefix sum of level j-1 up to k-1, floor-divided by
-    k^nj (level 0 is the constant 2^bits), so memory is O(depth) for any n.
+    The column of level j at k is the prefix sum of level j-1 up to k-1,
+    floor-divided by k^nj (level 0 is the constant 2^bits).  The terms go
+    in blocks of _BLOCK values of k; within a block each level is one
+    accumulate over the column, started from the level's prefix sum at
+    the end of the previous block, so memory is O(depth * _BLOCK) for any n.
     The last column is weighted by z^k: a right shift by s*k when z = 2^-s,
-    else a running weight 2^bits z^k updated by ``* p // q``.
+    taken before the division by k^nr (the same floor, as both are floors
+    of a nonnegative int), else a running weight 2^bits z^k updated by
+    ``* p // q``.
 
     Truncation error, in units 2^-bits: every floor loses less than one
     unit, a level-j column holds at most 2^bits and is below its exact
@@ -290,17 +326,25 @@ def _polylog_fixed(parts, z, bits, n):
     s = q.bit_length() - 1
     shift = p == 1 and q == 1 << s
     *inner, last = parts
-    sums = [0] * len(inner)
+    carries = [0] * len(inner)
     total, weight = 0, one
-    for k in range(1, n + 1):
-        prev = one
+    for start in range(1, n + 1, _BLOCK):
+        m = min(_BLOCK, n + 1 - start)
+        prevs = repeat(one, m)
         for j, nj in enumerate(inner):
-            prev, sums[j] = sums[j], sums[j] + prev // k ** nj
-        if shift:
-            total += prev // k ** last >> s * k
-        else:
-            weight = weight * p // q
-            total += prev // k ** last * weight >> bits
+            prevs = list(accumulate(map(floordiv, prevs, _divisors(nj, start, m)),
+                                    initial=carries[j]))
+            carries[j] = prevs.pop()
+        divisors = _divisors(last, start, m)
+        if not shift:
+            for prev, divisor in zip(prevs, divisors):
+                weight = weight * p // q
+                total += prev // divisor * weight >> bits
+        elif s:
+            total += sum(map(floordiv, map(rshift, prevs, range(s * start, s * (start + m), s)),
+                             divisors))
+        else:  # z = 1
+            total += sum(map(floordiv, prevs, divisors))
     return total
 
 

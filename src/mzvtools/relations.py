@@ -87,10 +87,12 @@ class RelationMatrix(_Immutable):
     order: sparse {column index: int} rows, each with a provenance string.
     The columns are indexed both ways: ``basis``, a tuple, maps a column to
     its word, and the {parts: column} map the rows were built against maps
-    a word back (``column_of``).  The echelon form is computed at most once
-    and kept (``echelon_form``)."""
+    a word back (``column_of``), and ``hoffman_columns`` holds the columns
+    of the Hoffman words.  The echelon form is computed at most once and
+    kept (``echelon_form``)."""
 
-    __slots__ = ("weight", "basis", "provenance", "_columns", "_sparse_rows", "_echelon")
+    __slots__ = ("weight", "basis", "provenance", "hoffman_columns", "_columns",
+                 "_sparse_rows", "_echelon")
 
     def __init__(self, weight, basis, columns, rows, provenance):
         object.__setattr__(self, "weight", weight)
@@ -98,6 +100,8 @@ class RelationMatrix(_Immutable):
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_sparse_rows", tuple(rows))
         object.__setattr__(self, "provenance", tuple(provenance))
+        object.__setattr__(self, "hoffman_columns",
+                           frozenset(i for i, w in enumerate(self.basis) if is_hoffman(w)))
         object.__setattr__(self, "_echelon", None)
 
     @property
@@ -249,12 +253,12 @@ def decompose_in_hoffman_basis(comp, max_weight=DEFAULT_MAX_WEIGHT):
     rref = echelon_form(matrix)
     col = matrix.column_of(comp)
     # a pivot word is minus the rest of its row, a free word is itself
-    terms = ([(matrix.basis[cc], -v) for cc, v in rref.pivot_rows[col].items() if cc != col]
-             if col in rref.pivot_rows else [(comp, 1)])
-    bad = sorted(w for w, _ in terms if not is_hoffman(w))
+    row = rref.pivot_rows.get(col)
+    terms = {col: 1} if row is None else {cc: -v for cc, v in row.items() if cc != col}
+    bad = sorted(matrix.basis[cc] for cc in terms.keys() - matrix.hoffman_columns)
     if bad:
         raise InsufficientRelationsError(comp, bad)
-    return LinComb(terms)
+    return LinComb((matrix.basis[cc], v) for cc, v in terms.items())
 
 
 def hoffman_words(weight):

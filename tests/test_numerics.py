@@ -424,6 +424,64 @@ def test_kernel_matches_the_mpf_oracle_off_one_half(z, n, bound):
             assert -1e-6 < low < bound(len(parts), n), parts
 
 
+def polylog_fixed_row_by_row(parts, z, bits, n):
+    """The row-by-row loop the blocked kernel replaced, kept as its oracle:
+    one step per term k and level, with a running prefix sum per level and
+    the same floors, in the order prefix // k^nj, then the weight z^k."""
+    one = 1 << bits
+    p, q = z.numerator, z.denominator
+    s = q.bit_length() - 1
+    shift = p == 1 and q == 1 << s
+    *inner, last = parts
+    sums = [0] * len(inner)
+    total, weight = 0, one
+    for k in range(1, n + 1):
+        prev = one
+        for j, nj in enumerate(inner):
+            prev, sums[j] = sums[j], sums[j] + prev // k ** nj
+        if shift:
+            total += prev // k ** last >> s * k
+        else:
+            weight = weight * p // q
+            total += prev // k ** last * weight >> bits
+    return total
+
+
+# Term counts around the block edges: inside the first block, on its last
+# term, one past it, and into a third block.
+BLOCK_EDGES = (1, 2, numerics._BLOCK - 1, numerics._BLOCK, numerics._BLOCK + 1,
+               2 * numerics._BLOCK + 3)
+
+
+@pytest.mark.parametrize("z", [HALF, Fraction(1, 4), Fraction(1), Fraction(1, 3),
+                               Fraction(99, 100)], ids=str)
+def test_kernel_equals_the_row_by_row_loop(z):
+    """The blocked kernel returns exactly the row-by-row loop's int for
+    every composition of weight <= 6, across the block edges."""
+    for parts in all_compositions(6):
+        for n in BLOCK_EDGES:
+            for bits in (40, 1100):
+                assert (_polylog_fixed(parts, z, bits, n)
+                        == polylog_fixed_row_by_row(parts, z, bits, n)), (parts, n, bits)
+
+
+def test_divisors_off_the_tables_are_summed_alike():
+    """A part above _TABLE_EXPONENT, or a term past _TABLE_TERMS, takes its
+    power term by term, not from the shared tables, with the same sum."""
+    big = numerics._TABLE_EXPONENT + 1
+    for parts in [(big,), (2, big), (big, 1, 3), (1, big, big)]:
+        for z in (HALF, Fraction(1, 3)):
+            n = numerics._BLOCK + 5
+            assert _polylog_fixed(parts, z, 200, n) == polylog_fixed_row_by_row(parts, z, 200, n)
+    numerics._powers.cache_clear()
+    n = numerics._TABLE_TERMS + numerics._BLOCK + 3
+    for parts in [(2,), (1, 2)]:
+        for z in (Fraction(1), Fraction(99, 100)):
+            assert _polylog_fixed(parts, z, 60, n) == polylog_fixed_row_by_row(parts, z, 60, n)
+    # one table per part and block below _TABLE_TERMS, none past it
+    assert numerics._powers.cache_info().currsize == 2 * numerics._TABLE_TERMS // numerics._BLOCK
+
+
 # -------------------------------------------------------------- mzv_eval
 
 def test_precision_beyond_the_cap_fails_before_summing():
