@@ -2,14 +2,18 @@
 
 Given reals x1..xm known to P digits, build the integer lattice spanned by
 rows (e_i | round(C x_i)) with C = 10^(P - g), reduce it with LLL over
-exact rational arithmetic, its Gram-Schmidt coefficients and squared norms
-taken one row at a time from the integer inner products of the rows (no
-Gram-Schmidt vectors), and scan the reduced basis once, shortest rows
+exact rational arithmetic, and scan the reduced basis once, shortest rows
 first, for a vector whose first m entries give a combination sum c_i x_i
 cancelling almost to the working precision.  Acceptance requires the
 residual below 10^-(P - g - s) (guard g = 10, slack s = 5) and max |c_i|
 within the caller's height bound; coefficients are normalized to gcd 1
 with positive leading entry.
+
+The reduction takes each row's Gram-Schmidt coefficients and squared norm
+from the integer inner products of the rows (no Gram-Schmidt vectors) once,
+when it first reaches the row, and keeps every row reached current through
+size reductions and swaps by Cohen's updates; only a swap at a zero norm,
+which a dependent basis can reach, recomputes the rows from inner products.
 
 When nothing is accepted the result still carries information: with the
 LLL quality factor for delta = 3/4, the first reduced vector b1 satisfies
@@ -36,10 +40,12 @@ SLACK = 5
 _DELTA = Fraction(3, 4)
 # The most lattice work, m^4 (digits + L)^2 for m values whose largest has L
 # digits before the units place, that detect reduces.
-# On a 2-vCPU host a unit takes 2.8-3.7 ns from 10 values at 400 digits up
-# (14 values at 400 digits: 6.2e9, 17 s) and up to 9 ns for small lattices,
-# so the cap is about 20 s; the README's (1,11) example, 13 values at 420
-# digits, takes 5.0e9.
+# On a 2-vCPU host a unit takes 0.8-1.4 ns from 10 values at 250 digits to
+# 14 values at 400 digits (6.2e9, 4.9 s), 2.2 ns for 10 values at 770 digits
+# (5.9e9, 13 s) and up to 8 ns for small lattices, so the cap is about 5-13 s
+# at up to 800 digits; the README's (1,11) example, 13 values at 420 digits,
+# takes 5.0e9 and 4.3 s.  Long entries cost more than counted: 6 values at
+# 2000 digits, 5.2e9, take 45 s.
 MAX_LATTICE_WORK = 6 * 10 ** 9
 
 
@@ -68,34 +74,64 @@ def lll_reduce(basis):
 
     Rows of unequal length and non-integral entries, infinities and NaN
     among them, raise ValueError.
-    The loop keeps one invariant: the Gram-Schmidt rows below k are those
-    of the current basis.  Row k is computed each time the loop reaches
-    k, and a swap of rows k - 1 and k steps back to k - 1, so nothing is
-    ever recomputed for the whole basis.  Size reduction b_k -= r b_j
+    The loop keeps one invariant: the Gram-Schmidt rows up to kmax, the
+    furthest row reached, are those of the current basis.  Each row is
+    computed from inner products once, when the loop first reaches it, and
+    then kept current (Cohen, Alg. 2.6.3).  Size reduction b_k -= r b_j
     (j < k) leaves every Gram-Schmidt vector and norm unchanged and changes
-    only row k of mu, by mu_k -= r mu_j with mu_jj = 1, which is the
-    update applied in place.
+    only row k of mu, by mu_k -= r mu_j with mu_jj = 1, applied in place.
+    A swap of rows k - 1 and k changes only B_(k-1), B_k, the two rows'
+    prefixes and columns k - 1 and k of the rows past k, which its update
+    sets.  When B_k = 0 that update would leave nonzero mu_ik where the
+    new B_k is 0, against the rule that mu stays 0 there, so rows k - 1 to
+    kmax are recomputed from inner products instead.  Every mu and B
+    therefore equals its value recomputed from the current basis.  The
+    size-reduction test, r (rounded half away from zero) and the Lovasz
+    test are decided on the numerators and denominators.
     """
     b = [[integer_in(x, "lll_reduce entry") for x in row] for row in basis]
     if any(len(row) != len(b[0]) for row in b):
         raise ValueError("lll_reduce needs rows of equal length")
     mu, norms = [None] * len(b), [None] * len(b)
-    k = 0
+    if b:
+        _gram_schmidt_row(b, 0, mu, norms)
+    k, kmax = 1, 0
     while k < len(b):
-        _gram_schmidt_row(b, k, mu, norms)
+        if k > kmax:
+            kmax = k
+            _gram_schmidt_row(b, k, mu, norms)
+        row = mu[k]
         for j in range(k - 1, -1, -1):
-            q = mu[k][j]
-            if abs(q) > Fraction(1, 2):
-                r = int(q + Fraction(1, 2)) if q > 0 else -int(-q + Fraction(1, 2))
+            num, den = row[j].numerator, row[j].denominator
+            if 2 * abs(num) > den:
+                r = ((2 * num + den) // (2 * den) if num > 0
+                     else -((den - 2 * num) // (2 * den)))
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
                 for i in range(j):
-                    mu[k][i] -= r * mu[j][i]
-                mu[k][j] -= r
-        if k == 0 or norms[k] >= (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
+                    row[i] -= r * mu[j][i]
+                row[j] -= r
+        m, bk, bk1 = row[k - 1], norms[k], norms[k - 1]
+        mn, md = m.numerator, m.denominator
+        # B_k >= (delta - m^2) B_(k-1), every denominator cleared
+        if (bk.numerator * bk1.denominator * _DELTA.denominator * md * md
+                >= (_DELTA.numerator * md * md - _DELTA.denominator * mn * mn)
+                * bk1.numerator * bk.denominator):
             k += 1
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        if bk:
+            big = bk + m * m * bk1
+            mu[k - 1], mu[k] = row[:k - 1], mu[k - 1] + [m * bk1 / big]
+            norms[k - 1], norms[k] = big, bk1 * bk / big
+            swapped = mu[k][k - 1]
+            for i in range(k + 1, kmax + 1):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + swapped * mu[i][k]
         else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            k -= 1
+            for i in range(k - 1, kmax + 1):
+                _gram_schmidt_row(b, i, mu, norms)
+        k = max(k - 1, 1)
     return b
 
 

@@ -6,7 +6,8 @@ results come back as ``BigReal`` values that carry their precision.  More
 than MAX_DIGITS digits, by any route, raise ValueError before any
 summation, as does a polylogarithm sum, for any z, whose kernel work
 exceeds MAX_KERNEL_WORK: per term, its depth weighted by the scale's size
-plus a constant for the loop, 0.03-0.15 us a unit.  The term counts
+plus a constant for the loop, and the size of every divisor k^e raised term
+by term for a part e > _TABLE_EXPONENT, 0.03-0.15 us a unit.  The term counts
 are found once, in that check, and handed to the kernel.  The digits are
 relative, however small the value: the first series term, a lower bound
 of the value, sets the working digits before the one sum.
@@ -234,20 +235,29 @@ def _truncation_index(r, z, dps, limit):
 # takes 0.03-0.15 us: 0.03-0.07 for Li_2(1/2), 0.06-0.11 for the half
 # Li_(3,9)(1/2) at 300 and 2000 digits, 0.09-0.13 for Li_2(1 - 10^-4), whose
 # last level is summed term by term (zeta(3,9) at MAX_DIGITS: 1.9e7 units
-# in 1.4 s), so the cap is about 2-10 s of summing.  Deep words cost less
-# than counted, as their deep levels hold small ints.  mzv_eval counts each
-# distinct half once, as its cache sums it once; the largest request of
-# weight <= 12, (1,2,1,1,7) at MAX_DIGITS, takes 2.2e7.
+# in 1.4 s), so the cap is about 2-10 s of summing.  A part e above
+# _TABLE_EXPONENT adds, per term, M sqrt(M) / 4096 for the M = e bitlen(N)
+# bits of its largest divisor N^e, as k^e is raised term by term at 1.0-1.5 ns
+# a bit up to 4,000 bits and about sqrt(M / 4000) times that past them
+# (Karatsuba): Li_(10^5)(1/2) at 10 digits, 1.0e7 units, takes 0.6-1.0 s,
+# Li_(2 10^5)(1/2), 2.8e7, 1.8-2.5 s, Li_33(1 - 10^-5), 6.1e7, 4.4-5.4 s, and
+# Li_(10^6)(1/2), 3.2e8, which would take tens of seconds, is refused.  Deep
+# words cost less than counted, as their deep levels hold small ints.
+# mzv_eval counts each distinct half once, as its cache sums it once; the
+# largest request of weight <= 12, (1,2,1,1,7) at MAX_DIGITS, takes 2.2e7.
 MAX_KERNEL_WORK = 7 * 10 ** 7
 
 
 def _term_counts(series, z, dps):
     """The term count of each depth, {depth: N}, for summing the part tuples
     ``series`` at z and dps, each from ``_truncation_index`` with the terms
-    the cap leaves for that depth.  A sum whose kernel work, cached values
-    included, would exceed MAX_KERNEL_WORK raises ValueError before any
-    summation, so whether a request is refused depends on the request alone.
+    the cap leaves for that depth; a part above _TABLE_EXPONENT then adds
+    the work of its divisors, which grows with their size, for those terms.
+    A sum whose kernel work, cached values included, would exceed
+    MAX_KERNEL_WORK raises ValueError before any summation, so whether a
+    request is refused depends on the request alone.
     """
+    series = list(series)
     bits = _scale_bits(dps)
     terms, work = {0: 0}, 0  # work in 1/256 units
     for r, count in Counter(map(len, series)).items():
@@ -255,6 +265,11 @@ def _term_counts(series, z, dps):
             cost = count * (r * (256 + bits) + 3 * 256)
             terms[r] = _truncation_index(r, z, dps, MAX_KERNEL_WORK * 256 // cost)
             work = None if terms[r] is None else work + terms[r] * cost
+    if work is not None and max(chain.from_iterable(series), default=0) > _TABLE_EXPONENT:
+        for (r, e), count in Counter((len(parts), e) for parts in series for e in parts
+                                     if e > _TABLE_EXPONENT).items():
+            size = e * terms[r].bit_length()  # bits of the largest divisor N^e
+            work += count * terms[r] * (size * math.isqrt(size) >> 4)
     if work is None or work > MAX_KERNEL_WORK * 256:
         raise ValueError("summing at %d working digits at z = %s would take more "
                          "kernel work than the cap MAX_KERNEL_WORK = %d%s"

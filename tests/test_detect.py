@@ -166,6 +166,22 @@ def test_lll_reduce_matches_the_whole_basis_loop():
     assert len(bases) >= 120 and dependent >= len(bases) / 3
 
 
+def test_lll_reduce_rounds_a_tie_half_away_from_zero():
+    """After 42 swaps the rows are (2) and (-23), a tie mu_10 = -23/2: r
+    rounds it half away from zero, to -12, as the whole-basis loop does, and
+    leaves (1), where floor(mu_10 + 1/2) = -11 would leave (-1)."""
+    basis = [[674138365610315206974941926100], [740586604295378442660996408213]]
+    assert lll_reduce(basis) == lll_reduce_whole_basis(basis) == [[0], [1]]
+
+
+def test_lll_reduce_swaps_past_a_zero_norm_like_the_whole_basis_loop():
+    """B_1 = 0 when rows 0 and 1 swap: the rows are recomputed from inner
+    products, so mu stays 0 against the zero norm, and the basis matches."""
+    basis = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    assert lll_reduce(basis) == lll_reduce_whole_basis(basis) == [
+        [0, 0, 0], [0, 1, 1], [1, -1, 0]]
+
+
 @pytest.mark.parametrize("basis", [
     [[1, 2, 3], [4, 5]],       # a shorter later row
     [[1, 2], [3, 4, 5]],       # a longer later row
@@ -214,6 +230,51 @@ W9_SCALED = [
     2494882386737749496986825531238003616348207206427193893161440658368631885478754,
     1203418257441200386159968442169374050578495449927966027410860750504336897522973,
 ]
+# the same at 250 digits for zeta(1,10) and the nine weight-11 Hoffman words
+# (2,2,2,2,3), (2,2,2,3,2), (2,2,3,2,2), (2,3,2,2,2), (2,3,3,3), (3,2,2,2,2),
+# (3,2,3,3), (3,3,2,3), (3,3,3,2), split into lines of 60 digits
+W11_SCALED = [int(digits) for digits in (
+    "100397698865156846826547406671172244554142954621344519774611"
+    "291129036357100404710724265334259850733441332758156566050927"
+    "204192336700761837334409214525282019947586329247501865376008"
+    "2466182373742411096643813481385102911448934560034713272822",
+    "156325060727446922272328349239456034388003808686121012863593"
+    "232990058039333481052010449805799188260373436184341134933207"
+    "464486629919388451451877811605456175074466813070727551332379"
+    "895778632123680327690240166921966878030920839497232124784",
+    "341640061399814422542518648356513846815922919629361633095915"
+    "891147418709892897860458543199798151254069150029926059475705"
+    "365103813094343913444484661228486604008661762856032090420478"
+    "138461444566972845739439957932346712693097660675605233416",
+    "598046234732587934161575835384748596845196801912079970928864"
+    "223515761383506016925741707907498991569657621761762983897125"
+    "287823036119350020064747536727118136705778678327241367279733"
+    "271520234647751031879473464556895688620031299642476003244",
+    "104500531024921803526019164144142793108532501165460865251730"
+    "620615626780601145601314503002063992223779388326435557718818"
+    "482362578028140226201419719621901171656072716578257948722011"
+    "3901386117817242376756632522026454631036339064753119137757",
+    "300034752180544489521269207021462738183027939143787134966199"
+    "396996840910715544276391478294715107830735469951722233242528"
+    "206951948400725494431621868107331917090001567558988987408184"
+    "187208543610868578699522179176360980846182153317127647600",
+    "227065945982965019992879247873984842038397777542168393845797"
+    "155217859119043971424066347138365038437963445322065459160329"
+    "290740951295132161732224354899652192222344364748945938274531"
+    "4318505083809732372386766477711254263271579133183972442033",
+    "633012035503953859787021231427733254081059350575906991765653"
+    "481279881313942930197751361227620528731762316726502941093985"
+    "975410527256443149550769254157148596370024162597705631486048"
+    "330494543170369053384100208244239099166967871597617999067",
+    "110407532202752449368141296353443262999316914280528122952352"
+    "522931903445644075526313775142658800478884255540607212445203"
+    "670507531198053250212496502875100863465791213470063424781114"
+    "0702362378942360997438619283182618874805809785241039267849",
+    "252826301314403153812930895691693973702264576852881099447422"
+    "787790268615751212006410455809706927747119799898026620247156"
+    "328274591029753916992622793995587485294532687541237503254768"
+    "7930933200598166733480843637673416565243202375800956034702",
+)]
 
 
 def test_lll_reduced_bases_are_frozen():
@@ -233,6 +294,15 @@ def test_lll_reduced_bases_are_frozen():
         "58afaf4f231895d26c22e05878d1e034e7904dcf38c49ac41de986dd3e9aba68")
     assert lll_reduce([[12, 1, 0], [13, 0, 1], [25, 1, 1]]) == [
         [0, 0, 0], [1, -1, 1], [8, 5, -4]]
+
+
+def test_a_ten_row_reduced_basis_is_frozen():
+    """Ten rows reduce with many swaps below the furthest row reached, each
+    of which updates the rows past it; the digest was taken from the loop
+    that recomputed row k from inner products at every visit."""
+    reduced = lll_reduce(relation_lattice(W11_SCALED))
+    assert hashlib.sha256(repr(reduced).encode()).hexdigest() == (
+        "a44fed24f019c55732e90d82b361d15ccd2e4011f3390d41392b9e42b9c170aa")
 
 
 def test_weight_ten_decomposition_found_numerically():

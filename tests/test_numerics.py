@@ -615,6 +615,24 @@ def test_deep_words_are_refused_before_summing(monkeypatch):
     assert kernel == []
 
 
+def test_large_parts_count_the_size_of_their_divisors(monkeypatch):
+    # Li_(10^6)(1/2) plans 70 terms, as any Li_e(1/2) at 10 digits does, but
+    # raising k^e to 6 million bits term by term would take tens of seconds:
+    # the divisor bits of a part above _TABLE_EXPONENT count, so it is
+    # refused before any term is summed
+    def fail(*args):
+        raise AssertionError("summed %s" % (args,))
+    monkeypatch.setattr(numerics, "_polylog_fixed", fail)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="summing at 20 working digits at z = 1/2 would "
+                       "take more kernel work than the cap MAX_KERNEL_WORK = %d "
+                       r"\(316418759 units\)$" % MAX_KERNEL_WORK):
+        multiple_polylog((10 ** 6,), HALF, 10)
+    assert time.perf_counter() - start < 0.1
+    # Li_(10^5)(1/2), 0.6-1.0 s of summing, stays below the cap
+    assert _term_counts([(10 ** 5,)], HALF, 10 + GUARD) == {0: 0, 1: 70}
+
+
 def test_every_word_through_weight_twelve_stays_below_the_work_cap():
     # so no word of the test suite or the benchmark sessions is refused:
     # the work grows with the digits, and every word sums at digits + GUARD,
