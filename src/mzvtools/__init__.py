@@ -12,14 +12,13 @@ __version__ = "0.1.0"
 from .algebra import (shuffle, shuffle_combo, shuffle_regularize, stuffle,
                       stuffle_combo, stuffle_regularize)
 from .detect import DetectionResult, detect, lll_reduce
-from .dims import count_f_monomials, count_hoffman_words, dimension, growth_root
+from .dims import count_f_monomials, count_hoffman_words, dimension
 from .feynman import (Graph, GraphPolynomial, is_primitive_log_divergent,
                       kirchhoff_polynomial, match_period, period_monte_carlo,
                       spanning_tree_count)
 from .lincomb import LinComb
 from .numerics import (BigReal, MonteCarloEstimate, bernoulli, hypercube_zeta2,
-                       multiple_polylog, mzv_eval, zeta_euler_maclaurin,
-                       zeta_even_closed_form)
+                       mzv_eval, zeta_euler_maclaurin, zeta_even_closed_form)
 from .relations import (InsufficientRelationsError, RelationMatrix,
                         build_relation_matrix, decompose_in_hoffman_basis,
                         dimension_upper_bound, hoffman_words, matrix_rank)
@@ -34,9 +33,9 @@ __all__ = [
     "LinComb",
     "shuffle", "stuffle", "shuffle_combo", "stuffle_combo",
     "shuffle_regularize", "stuffle_regularize",
-    "dimension", "count_hoffman_words", "count_f_monomials", "growth_root",
+    "dimension", "count_hoffman_words", "count_f_monomials",
     "BigReal", "MonteCarloEstimate", "bernoulli", "hypercube_zeta2",
-    "multiple_polylog", "mzv_eval", "zeta_euler_maclaurin", "zeta_even_closed_form",
+    "mzv_eval", "zeta_euler_maclaurin", "zeta_even_closed_form",
     "InsufficientRelationsError", "RelationMatrix",
     "build_relation_matrix", "decompose_in_hoffman_basis",
     "dimension_upper_bound", "hoffman_words", "matrix_rank",

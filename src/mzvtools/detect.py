@@ -38,15 +38,17 @@ from .numerics import GUARD, MAX_DIGITS, BigReal
 
 SLACK = 5
 _DELTA = Fraction(3, 4)
-# The most lattice work, m^4 (digits + L)^2 for m values whose largest has L
-# digits before the units place, that detect reduces.
-# On a 2-vCPU host a unit takes 0.8-1.4 ns from 10 values at 250 digits to
-# 14 values at 400 digits (6.2e9, 4.9 s), 2.2 ns for 10 values at 770 digits
-# (5.9e9, 13 s) and up to 8 ns for small lattices, so the cap is about 5-13 s
-# at up to 800 digits; the README's (1,11) example, 13 values at 420 digits,
-# takes 5.0e9 and 4.3 s.  Long entries cost more than counted: 6 values at
-# 2000 digits, 5.2e9, take 45 s.
-MAX_LATTICE_WORK = 6 * 10 ** 9
+# The most lattice work, (m (digits + L))^3 for m values whose largest has L
+# digits before the units place, that detect reduces: the cube of the digits
+# in the lattice's last column, as longer entries make every rational step
+# dearer.  On a 2-vCPU host, for random values, a unit takes 30-74 ps across
+# value counts and entry lengths: 31 ps for 13 values at 420 digits (1.6e11,
+# 5.1 s), 40 ps for 14 at 400 (1.8e11, 7.1 s), 59 ps for 50 at 100 (1.25e11,
+# 7.4 s), 74 ps for 30 at 100 (2.7e10, 2.0 s), 56 ps for 2 at 2000 (6.4e10,
+# 3.6 s), 30 ps for 10 at 770 (4.6e11, 13.5 s) and 33 ps for 6 at 2000
+# (1.7e12, 57 s), the last two refused; so the cap is about 6-15 s.  The
+# README's (1,11) example, 13 values at 420 digits, stays below it.
+MAX_LATTICE_WORK = 2 * 10 ** 11
 
 
 def _gram_schmidt_row(b, k, mu, norms):
@@ -192,7 +194,7 @@ def check_search(m, digits, height_bound, magnitude=0):
     of at least 1 and the digits an integer from 1 to MAX_DIGITS, unless
     digits >= 20 + log10(height_bound) * m (below that the lattice cannot
     separate true relations from noise), and when the lattice work
-    m^4 (digits + magnitude)^2 exceeds MAX_LATTICE_WORK; its message counts
+    (m (digits + magnitude))^3 exceeds MAX_LATTICE_WORK; its message counts
     the digits + magnitude of the entries.
     """
     if not 2 <= m <= 50:
@@ -205,10 +207,10 @@ def check_search(m, digits, height_bound, magnitude=0):
                          "at height bound %d" % (digits, math.ceil(needed), m,
                                                  height_bound))
     entry = digits + magnitude  # the digits of the largest lattice entry
-    if m ** 4 * entry ** 2 > MAX_LATTICE_WORK:
+    if (m * entry) ** 3 > MAX_LATTICE_WORK:
         raise ValueError("reducing %d values at %d digits would take %d units of "
-                         "lattice work (values^4 digits^2), more than the cap "
-                         "MAX_LATTICE_WORK = %d" % (m, entry, m ** 4 * entry ** 2,
+                         "lattice work ((values x digits)^3), more than the cap "
+                         "MAX_LATTICE_WORK = %d" % (m, entry, (m * entry) ** 3,
                                                     MAX_LATTICE_WORK))
     return digits, height_bound
 

@@ -13,8 +13,9 @@ Three independent counts agree in every weight:
   1/(1-t^2) * 1/(1 - (t^3 + t^5 + t^7 + ...)) with exact integer
   coefficients.
 
-The growth rate d_{n+1}/d_n tends to the real root of X^3 - X - 1
-(about 1.3247).
+The growth rate d_{n+1}/d_n tends to the real root of X^3 - X - 1,
+about 1.3247, the largest root of the recurrence's characteristic
+polynomial.
 """
 
 from __future__ import annotations
@@ -84,14 +85,3 @@ def _f_monomial_counts(n):
         counts.append(w + (counts[k - 2] if k >= 2 else 0))
     return counts
 
-
-def growth_root():
-    """The real root of X^3 - X - 1, the asymptotic ratio d_{n+1}/d_n."""
-    lo, hi = 1.0, 2.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if mid ** 3 - mid - 1 < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2

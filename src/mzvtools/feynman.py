@@ -87,10 +87,6 @@ class Graph(_Immutable):
     def n_edges(self):
         return len(self.edges)
 
-    @property
-    def loop_number(self):
-        return self.n_edges - self.n_vertices + 1
-
     @classmethod
     def parse(cls, text):
         """Parse ``"V=4; 1-2,1-3,1-4,2-3,2-4,3-4"`` or the JSON equivalent

@@ -50,10 +50,6 @@ class LinComb(_Immutable):
         object.__setattr__(self, "_coeffs", d)
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def term(cls, word, coeff=1):
         return cls([(word, Fraction(coeff))])
 

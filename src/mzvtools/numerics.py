@@ -1,19 +1,20 @@
-"""High-precision numerics for zeta values and multiple polylogarithms.
+"""High-precision numerics for zeta values and multiple zeta values.
 
 All routines take a requested precision ``digits`` (decimal) and work
 internally at ``digits + GUARD`` so that the reported digits are trusted;
 results come back as ``BigReal`` values that carry their precision.  More
 than MAX_DIGITS digits, by any route, raise ValueError before any
-summation, as does a polylogarithm sum, for any z, whose kernel work
-exceeds MAX_KERNEL_WORK: per term, its depth weighted by the scale's size
-plus a constant for the loop, and the size of every divisor k^e raised term
-by term for a part e > _TABLE_EXPONENT, 0.03-0.15 us a unit.  The term counts
-are found once, in that check, and handed to the kernel.  The digits are
-relative, however small the value: the first series term, a lower bound
-of the value, sets the working digits before the one sum.
-The multiple polylogarithms are summed in fixed point: Python ints scaled
-by 2^B, where every truncation is a floor with a stated error bound,
-converted to mpmath once at the end.
+summation, as does a multiple zeta value whose polylogarithm sums would
+take kernel work above MAX_KERNEL_WORK: per term, its depth weighted by
+the scale's size plus a constant for the loop, and the size of every
+divisor k^e raised term by term for a part e > _TABLE_EXPONENT, 0.03-0.11
+us a unit.  The term counts are found once, in that check, and handed to
+the kernel.  The digits are relative, however small the value: the first
+series term, a lower bound of the value, sets the working digits before
+the one sum.
+The polylogarithms are summed in fixed point: Python ints scaled by 2^B,
+where every truncation is a floor with a stated error bound, converted to
+mpmath once at the end.
 The simple-zeta routes, pi and the elementary functions use mpmath's
 arbitrary-precision floats; every series, truncation bound and algorithm
 is implemented here.
@@ -22,15 +23,13 @@ Evaluation strategy for a convergent multiple zeta value: encode it as an
 iterated integral word over {0, 1} on the path from 0 to 1, split the path
 at 1/2, and rewrite the upper half through t -> 1-t (reverse the subword
 and exchange the letters).  Both halves become multiple polylogarithms at
-z = 1/2, where the defining nested sums converge geometrically: about
-3.33 * digits terms each, for any weight.  A multiple polylogarithm at
-z = 1 is the multiple zeta value of its word and is evaluated the same way;
-a series is summed only for 0 < z < 1.  The polylogarithm itself is
-summed by the prefix-sum dynamic program, costing depth * N integer
-operations, never N^depth: the N terms go in blocks of _BLOCK, each level
-of a block is one pass over its column, and memory is O(depth * _BLOCK).
-The two halves of every split share one scale, so their products are
-summed as ints.
+z = 1/2, the only point at which a series is summed, where the defining
+nested sums converge geometrically: about 3.33 * digits terms each, for
+any weight.  The polylogarithm itself is summed by the prefix-sum dynamic
+program, costing depth * N integer operations, never N^depth: the N terms
+go in blocks of _BLOCK, each level of a block is one pass over its column,
+and memory is O(depth * _BLOCK).  The two halves of every split share one
+scale, so their products are summed as ints.
 
 Simple zeta values have two independent routes for cross-checking: the
 Euler-Maclaurin corrected partial sum (any integer s >= 2), and for even s
@@ -205,55 +204,58 @@ def zeta_euler_maclaurin(s, digits, cutoff=None, correction_terms=None):
 
 
 @lru_cache(maxsize=2 ** 10)
-def _truncation_index(r, z, dps, limit):
-    """An N with the tail of a depth-r series below 10^-(dps+1), for
-    0 < z < 1, or None when no N up to ``limit`` will do.
+def _truncation_index(r, dps, limit):
+    """An N with the tail of a depth-r series at z = 1/2 below 10^-(dps+1),
+    or None when no N up to ``limit`` will do.
 
     The inner sums are bounded by k^(r-1), so the tail after N is at
-    most (N+1)^(r-1) z^(N+1) (r-1)! / (1-z)^r.  N is the first value of
-    the search that passes this bound: it starts near dps / -log10(z) and
+    most (N+1)^(r-1) 2^-(N+1) (r-1)! 2^r.  N is the first value of the
+    search that passes this bound: it starts near dps / log10(2) and
     steps by an eighth of N, so it may exceed the smallest N that passes
     by up to about an eighth.  Memoized, as a sweep asks for the same few
     arguments over and over.
     """
-    p, q = z.numerator, z.denominator
-    # -log10(z) from the ints, and near 1 from 1 - z = (q-p)/q: float(z)
-    # rounds to 1 there
-    decay = (math.log10(q) - math.log10(p) if 2 * p <= q
-             else -math.log1p((p - q) / q) / math.log(10))
+    decay = math.log10(2)  # -log10(z)
     log_fact = math.log10(math.factorial(r - 1))
-    log_1mz = math.log10(q - p) - math.log10(q)
     n = max(8, int(dps / decay) + 4) if decay * limit > dps else limit + 1
     while n <= limit and ((r - 1) * math.log10(n + 1) - (n + 1) * decay
-                          + log_fact - r * log_1mz > -(dps + 1)):
+                          + log_fact + r * decay > -(dps + 1)):
         n += max(4, n // 8)
     return n if n <= limit else None
 
 
 # Kernel work units: per series term, the depth weighted by 1 + B/256 for a
 # scale of B bits, plus 3 for the loop itself.  On a 2-vCPU host a unit
-# takes 0.03-0.15 us: 0.03-0.07 for Li_2(1/2), 0.06-0.11 for the half
-# Li_(3,9)(1/2) at 300 and 2000 digits, 0.09-0.13 for Li_2(1 - 10^-4), whose
-# last level is summed term by term (zeta(3,9) at MAX_DIGITS: 1.9e7 units
+# takes 0.03-0.11 us: 0.03-0.07 for Li_2(1/2), 0.06-0.11 for the half
+# Li_(3,9)(1/2) at 300 and 2000 digits (zeta(3,9) at MAX_DIGITS: 1.9e7 units
 # in 1.4 s), so the cap is about 2-10 s of summing.  A part e above
 # _TABLE_EXPONENT adds, per term, M sqrt(M) / 4096 for the M = e bitlen(N)
 # bits of its largest divisor N^e, as k^e is raised term by term at 1.0-1.5 ns
 # a bit up to 4,000 bits and about sqrt(M / 4000) times that past them
 # (Karatsuba): Li_(10^5)(1/2) at 10 digits, 1.0e7 units, takes 0.6-1.0 s,
-# Li_(2 10^5)(1/2), 2.8e7, 1.8-2.5 s, Li_33(1 - 10^-5), 6.1e7, 4.4-5.4 s, and
-# Li_(10^6)(1/2), 3.2e8, which would take tens of seconds, is refused.  Deep
-# words cost less than counted, as their deep levels hold small ints.
-# mzv_eval counts each distinct half once, as its cache sums it once; the
-# largest request of weight <= 12, (1,2,1,1,7) at MAX_DIGITS, takes 2.2e7.
+# Li_(2 10^5)(1/2), 2.8e7, 1.8-2.5 s, and Li_(10^6)(1/2), 3.2e8, which would
+# take tens of seconds, is refused.  Deep words cost less than counted, as
+# their deep levels hold small ints.  mzv_eval counts each distinct half
+# once, as its cache sums it once; the largest request of weight <= 12,
+# (1,2,1,1,7) at MAX_DIGITS, takes 2.2e7.
 MAX_KERNEL_WORK = 7 * 10 ** 7
 
 
-def _term_counts(series, z, dps):
+def _work_refused(dps, work=None):
+    """The ValueError for sums at dps whose kernel work, in 1/256 units
+    when it was counted, exceeds MAX_KERNEL_WORK."""
+    return ValueError("summing at %d working digits at z = 1/2 would take more "
+                      "kernel work than the cap MAX_KERNEL_WORK = %d%s"
+                      % (dps, MAX_KERNEL_WORK,
+                         "" if work is None else " (%d units)" % (work // 256)))
+
+
+def _term_counts(series, dps):
     """The term count of each depth, {depth: N}, for summing the part tuples
-    ``series`` at z and dps, each from ``_truncation_index`` with the terms
-    the cap leaves for that depth; a part above _TABLE_EXPONENT then adds
-    the work of its divisors, which grows with their size, for those terms.
-    A sum whose kernel work, cached values included, would exceed
+    ``series`` at z = 1/2 and dps, each from ``_truncation_index`` with the
+    terms the cap leaves for that depth; a part above _TABLE_EXPONENT then
+    adds the work of its divisors, which grows with their size, for those
+    terms.  A sum whose kernel work, cached values included, would exceed
     MAX_KERNEL_WORK raises ValueError before any summation, so whether a
     request is refused depends on the request alone.
     """
@@ -263,7 +265,7 @@ def _term_counts(series, z, dps):
     for r, count in Counter(map(len, series)).items():
         if r and work is not None:
             cost = count * (r * (256 + bits) + 3 * 256)
-            terms[r] = _truncation_index(r, z, dps, MAX_KERNEL_WORK * 256 // cost)
+            terms[r] = _truncation_index(r, dps, MAX_KERNEL_WORK * 256 // cost)
             work = None if terms[r] is None else work + terms[r] * cost
     if work is not None and max(chain.from_iterable(series), default=0) > _TABLE_EXPONENT:
         for (r, e), count in Counter((len(parts), e) for parts in series for e in parts
@@ -271,10 +273,7 @@ def _term_counts(series, z, dps):
             size = e * terms[r].bit_length()  # bits of the largest divisor N^e
             work += count * terms[r] * (size * math.isqrt(size) >> 4)
     if work is None or work > MAX_KERNEL_WORK * 256:
-        raise ValueError("summing at %d working digits at z = %s would take more "
-                         "kernel work than the cap MAX_KERNEL_WORK = %d%s"
-                         % (dps, z, MAX_KERNEL_WORK,
-                            "" if work is None else " (%d units)" % (work // 256)))
+        raise _work_refused(dps, work)
     return terms
 
 
@@ -287,16 +286,13 @@ def _scale_bits(dps):
 # The kernel sums the terms in blocks of _BLOCK consecutive k, one level at
 # a time, and takes its divisors k^e from full-block tables shared by every
 # sum, whatever its term count: a shorter block stops at its own length.
-# Tables cover k < _TABLE_TERMS = 2^13, every term of a sum at z = 1/2 up to
-# MAX_DIGITS (at most 7,545), and parts e <= _TABLE_EXPONENT; other divisors
-# are raised to their powers term by term, as the terms past 2^13 of a sum
-# near z = 1 are used once, and the table of a larger part would hold ints
-# of KBs each for sums of a few dozen terms.  The cache is bounded by 512
-# entries, enough for every block and part of a weight-12 word at
-# MAX_DIGITS (30 blocks).  An entry holds _BLOCK ints of at most 13e bits:
-# at most 25 KB, so 13 MB for the whole cache.
+# Tables cover parts e <= _TABLE_EXPONENT; a larger part is raised to its
+# powers term by term, as its table would hold ints of KBs each for sums of
+# a few dozen terms.  The cache is bounded by 512 entries, enough for every
+# block and part of a weight-12 word at MAX_DIGITS (30 blocks).  An entry
+# holds _BLOCK ints of at most 13e bits, as no request that MAX_KERNEL_WORK
+# admits sums past k = 7,516: at most 25 KB, so 13 MB for the whole cache.
 _BLOCK = 256
-_TABLE_TERMS = 2 ** 13
 _TABLE_EXPONENT = 32
 
 
@@ -308,41 +304,34 @@ def _powers(e, start):
 
 def _divisors(e, start, m):
     """k^e for the m values of k from ``start``, m <= _BLOCK."""
-    if e <= _TABLE_EXPONENT and start < _TABLE_TERMS:
+    if e <= _TABLE_EXPONENT:
         return _powers(e, start)
     return map(pow, range(start, start + m), repeat(e))
 
 
-def _polylog_fixed(parts, z, bits, n):
-    """The first n terms of Li_{parts}(z) = sum_{k1<...<kr} z^kr / prod ki^ni
-    as an int scaled by 2^bits, for a nonempty ``parts`` and a Fraction z in
-    (0, 1].
+def _polylog_fixed(parts, bits, n):
+    """The first n terms of Li_{parts}(1/2) = sum_{k1<...<kr} 2^-kr / prod ki^ni
+    as an int scaled by 2^bits, for a nonempty ``parts``.
 
     The column of level j at k is the prefix sum of level j-1 up to k-1,
     floor-divided by k^nj (level 0 is the constant 2^bits).  The terms go
     in blocks of _BLOCK values of k; within a block each level is one
     accumulate over the column, started from the level's prefix sum at
     the end of the previous block, so memory is O(depth * _BLOCK) for any n.
-    The last column is weighted by z^k: a right shift by s*k when z = 2^-s,
-    taken before the division by k^nr (the same floor, as both are floors
-    of a nonnegative int), else a running weight 2^bits z^k updated by
-    ``* p // q``.
+    The last column is weighted by 2^-k: a right shift by k, taken before
+    the division by k^nr (the same floor, as both are floors of a
+    nonnegative int).
 
     Truncation error, in units 2^-bits: every floor loses less than one
     unit, a level-j column holds at most 2^bits and is below its exact
     value by less than j units, so the result never exceeds the n-term sum
-    and lies below it by less than depth * sum_{k<=n} z^k + n units.  That
-    is at most depth + n at z = 1/2 and (depth + 1) * n at z = 1.  For
-    other z = p/q the running weight is low by less than 1/(1-z) <= q units,
-    which makes it less than (depth + 1 + q) * n.
+    and lies below it by less than depth * sum_{k<=n} 2^-k + n < depth + n
+    units.
     """
     one = 1 << bits
-    p, q = z.numerator, z.denominator
-    s = q.bit_length() - 1
-    shift = p == 1 and q == 1 << s
     *inner, last = parts
     carries = [0] * len(inner)
-    total, weight = 0, one
+    total = 0
     for start in range(1, n + 1, _BLOCK):
         m = min(_BLOCK, n + 1 - start)
         prevs = repeat(one, m)
@@ -350,35 +339,9 @@ def _polylog_fixed(parts, z, bits, n):
             prevs = list(accumulate(map(floordiv, prevs, _divisors(nj, start, m)),
                                     initial=carries[j]))
             carries[j] = prevs.pop()
-        divisors = _divisors(last, start, m)
-        if not shift:
-            for prev, divisor in zip(prevs, divisors):
-                weight = weight * p // q
-                total += prev // divisor * weight >> bits
-        elif s:
-            total += sum(map(floordiv, map(rshift, prevs, range(s * start, s * (start + m), s)),
-                             divisors))
-        else:  # z = 1
-            total += sum(map(floordiv, prevs, divisors))
+        total += sum(map(floordiv, map(rshift, prevs, range(start, start + m)),
+                         _divisors(last, start, m)))
     return total
-
-
-def _polylog_raw(parts, z, dps, n):
-    """Li_{parts}(z) at dps digits as an int scaled by 2^_scale_bits(dps).
-
-    ``z`` is an exact Fraction in (0, 1); the scale depends on dps alone,
-    so all values at one precision share it.  The series is cut after the
-    n terms that ``_term_counts`` found, where its tail is below
-    10^-(dps+1), and the kernel runs enough bits finer that its error bound
-    (``_polylog_fixed``) is below one unit of the shared scale; the final
-    shift loses less than one more.  The result is therefore below the truncated sum by less
-    than 2 units.
-    """
-    bits = _scale_bits(dps)
-    if not parts:
-        return 1 << bits
-    extra = ((len(parts) + 1 + z.denominator) * n).bit_length()
-    return _polylog_fixed(parts, z, bits + extra, n) >> extra
 
 
 # Half-path values, ints at the scale of their dps (a few hundred bytes
@@ -387,50 +350,34 @@ def _polylog_raw(parts, z, dps, n):
 # 3,072.
 @lru_cache(maxsize=2 ** 12)
 def _polylog_half(parts, dps, n):
-    return _polylog_raw(parts, Fraction(1, 2), dps, n)
+    """Li_{parts}(1/2) at dps digits as an int scaled by 2^_scale_bits(dps).
+
+    The scale depends on dps alone, so all values at one precision share
+    it.  The series is cut after the n terms that ``_term_counts`` found,
+    where its tail is below 10^-(dps+1), and the kernel runs enough bits
+    finer that its error bound (``_polylog_fixed``) is below one unit of
+    the shared scale; the final shift loses less than one more.  The result
+    is therefore below the truncated sum by less than 2 units.
+    """
+    bits = _scale_bits(dps)
+    if not parts:
+        return 1 << bits
+    extra = ((len(parts) + 3) * n).bit_length()
+    return _polylog_fixed(parts, bits + extra, n) >> extra
 
 
-def _first_term_zeros(parts, z):
-    """floor(-log10 t1) for the first term t1 = z^r / prod_(i<=r) i^(n_i)
-    of Li_parts(z) at a Fraction or int z in (0, 1]: since t1 bounds the
-    sum from below, this bounds the value's leading zero digits from above.
+def _first_term_zeros(parts):
+    """floor(-log10 t1) for the first term t1 = 1/prod_(i<=r) i^(n_i) of
+    the series of zeta(parts): since t1 bounds the value from below, this
+    bounds its leading zero digits from above.
 
-    Exact from ints, as floor(log10 floor(1/t1)) counted up from below,
+    Exact from ints, as floor(log10 (1/t1)) counted up from below,
     because 0.30102 < log10 2."""
-    r = len(parts)
-    inverse = (z.denominator ** r * math.prod(i ** n for i, n in enumerate(parts, 1))
-               // z.numerator ** r)
+    inverse = math.prod(i ** n for i, n in enumerate(parts, 1))
     e = (inverse.bit_length() - 1) * 30102 // 100000
     while 10 ** (e + 1) <= inverse:
         e += 1
     return e
-
-
-def multiple_polylog(comp, z, digits):
-    """The one-variable multiple polylogarithm sum_{k1<...<kr} z^{kr} / prod ki^{ni}.
-
-    ``z`` may be a Fraction, int or float with 0 < z <= 1.  At z = 1 the
-    value is the multiple zeta value of the composition, returned by
-    ``mzv_eval`` (a divergent one raises ValueError there).  For z < 1 the
-    series is summed, divergent compositions (last part 1) included, since
-    convergence is geometric.  The digits are relative for every z.  A raw
-    tuple goes through ``Composition``, so parts below 1 raise ValueError,
-    as do more than MAX_DIGITS digits and a series that would take more
-    kernel work than MAX_KERNEL_WORK, just below z = 1 included.
-    """
-    comp = comp if isinstance(comp, Composition) else Composition(comp)
-    zq = Fraction(z)  # exact for int, Fraction and (dyadic) float inputs
-    if not 0 < zq <= 1:
-        raise ValueError("z must satisfy 0 < z <= 1, got %s" % (z,))
-    if zq == 1:
-        return mzv_eval(comp, digits)
-    digits = integer_in(digits, "digits", 1, MAX_DIGITS)
-    # one more working digit per leading zero of the first term makes the
-    # error relative
-    dps = digits + GUARD + _first_term_zeros(comp.parts, zq)
-    n = _term_counts([comp.parts], zq, dps)[len(comp.parts)]
-    # mpf reads an (int, exponent) pair exactly and rounds it once
-    return BigReal((_polylog_raw(comp.parts, zq, dps, n), -_scale_bits(dps)), digits)
 
 
 def _path_halves(letters):
@@ -462,22 +409,33 @@ def mzv_eval(comp, digits):
     2.1 (w+1) 10^-(dps-L): below 2.1 (w+1) 10^-(digits+2) up to the
     threshold and 2.1 (w+1) 10^-(digits+GUARD) past it.  Every word of
     weight <= 12 has L <= 8, so its relative error is below 0.3 * 10^-digits.
+
     More than MAX_DIGITS digits raise ValueError before any summation, as
-    does a sum that would take more kernel work than MAX_KERNEL_WORK at dps:
-    ({2}^100) and ({2}^200) at 10 digits are refused at once.
+    does a sum that would take more kernel work than MAX_KERNEL_WORK at dps,
+    and the refusal takes no time that grows with the square of the weight:
+    the word and its dual are halves of the first and last splits, and a
+    half of depth d sums at least d terms, so a word whose deeper one is too
+    deep for the cap at digits + GUARD is refused from its parts, and the
+    deeper one alone is planned before the splits are built.  ({2}^200) and
+    (10^4) at 10 digits are refused at once.
     """
     comp = comp if isinstance(comp, Composition) else Composition(comp)
     if not comp.is_convergent:
         raise ValueError("%s diverges; regularize before evaluating" % (comp,))
     digits = integer_in(digits, "digits", 1, MAX_DIGITS)
+    deepest = max(comp.depth, comp.weight - comp.depth)
+    if deepest * (deepest * (256 + _scale_bits(digits + GUARD)) + 3 * 256) > MAX_KERNEL_WORK * 256:
+        raise _work_refused(digits + GUARD)
     # Up to GUARD - 2 leading zeros every word sums at digits + GUARD, so
     # words share their halves in the _polylog_half cache: in the 40-digit
     # sweep of the 256 weight-10 words, 4,864 of 5,632 lookups hit.
-    zeros = _first_term_zeros(comp.parts, 1)
+    zeros = _first_term_zeros(comp.parts)
     dps = digits + GUARD + (zeros if zeros > GUARD - 2 else 0)
-    halves = _path_halves(comp.to_binary().letters)
+    word = comp.to_binary()
+    _term_counts([max(comp.parts, letters_to_parts(word.dual().letters), key=len)], dps)
+    halves = _path_halves(word.letters)
     # the _polylog_half cache sums each distinct half once per request
-    n = _term_counts(set(chain.from_iterable(halves)), Fraction(1, 2), dps)
+    n = _term_counts(set(chain.from_iterable(halves)), dps)
     total = sum(_polylog_half(lower, dps, n[len(lower)])
                 * _polylog_half(upper, dps, n[len(upper)]) for lower, upper in halves)
     return BigReal((total, -2 * _scale_bits(dps)), digits)

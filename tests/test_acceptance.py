@@ -208,13 +208,13 @@ def test_criterion_11_property_suites():
             u = BinaryWord([rng.randint(0, 1) for _ in range(k)])
             v = BinaryWord([rng.randint(0, 1) for _ in range(weight - k)])
             lhs = sum((c * shuffle_regularize(w)
-                       for w, c in shuffle(u, v).terms()), LinComb.zero())
+                       for w, c in shuffle(u, v).terms()), LinComb())
             rhs = shuffle_combo(shuffle_regularize(u), shuffle_regularize(v))
             assert lhs == rhs, (u, v)
             a = rng.choice(list(enumerate_compositions(k)))
             b = rng.choice(list(enumerate_compositions(weight - k)))
             lhs = sum((c * stuffle_regularize(w)
-                       for w, c in stuffle(a, b).terms()), LinComb.zero())
+                       for w, c in stuffle(a, b).terms()), LinComb())
             rhs = stuffle_combo(stuffle_regularize(a), stuffle_regularize(b))
             assert lhs == rhs, (a, b)
             checks += 2

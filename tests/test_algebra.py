@@ -193,9 +193,9 @@ def test_regularize_fixes_convergent_words():
 
 
 def test_regularize_kills_the_generators():
-    assert shuffle_regularize(BinaryWord("1")) == LinComb.zero()
-    assert shuffle_regularize(BinaryWord("0")) == LinComb.zero()
-    assert stuffle_regularize(Composition((1,))) == LinComb.zero()
+    assert shuffle_regularize(BinaryWord("1")) == LinComb()
+    assert shuffle_regularize(BinaryWord("0")) == LinComb()
+    assert stuffle_regularize(Composition((1,))) == LinComb()
 
 
 def test_regularize_frozen_examples():
@@ -259,7 +259,7 @@ def test_the_shared_product_recursion_stays_memoized():
 
 
 def _regularize_combo(combo, regularize):
-    return sum((c * regularize(w) for w, c in combo.terms()), LinComb.zero())
+    return sum((c * regularize(w) for w, c in combo.terms()), LinComb())
 
 
 @pytest.mark.parametrize("weight", range(2, 7))

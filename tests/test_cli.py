@@ -343,7 +343,7 @@ def test_detect_counts_the_integer_digits_of_its_values(monkeypatch, capsys):
     assert time.perf_counter() - start < 0.1
     assert (code, out) == (1, "")
     assert err.startswith("error: reducing 8 values at 2079 digits would take "
-                          "%d units of lattice work" % (8 ** 4 * 2079 ** 2))
+                          "%d units of lattice work" % (8 * 2079) ** 3)
 
 
 def readme_commands():
@@ -627,7 +627,7 @@ def test_detect_past_the_lattice_cap_exits_one_before_evaluating(monkeypatch, ca
     code, out, err = run(capsys, "detect", *words, "--digits", "2000")
     assert (code, out) == (1, "")
     assert err.startswith("error: reducing 20 values at 2000 digits would take "
-                          "640000000000 units of lattice work")
+                          "64000000000000 units of lattice work")
     assert evaluated == []
 
 

@@ -425,18 +425,20 @@ def test_fraction_and_mpf_inputs_carry_the_working_precision():
 
 
 def test_lattices_past_the_work_cap_are_refused_before_reduction(monkeypatch):
-    # 50 values at 2000 digits would reduce for hours; the README's (1,11)
-    # example, 13 values at 420 digits, stays below the cap
+    # 50 values at 2000 digits would reduce for hours, and 6 values at 2000
+    # digits took 45-57 s while the unit counted values^4 digits^2; the
+    # README's (1,11) example, 13 values at 420 digits, stays below the cap
     monkeypatch.setattr(importlib.import_module("mzvtools.detect"), "lll_reduce", None)
     with mp.workdps(2000):
         xs = [BigReal(mp.sqrt(k), 2000) for k in range(2, 52)]
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="reducing 50 values at 2000 digits would take "
-                       "25000000000000 units of lattice work .* MAX_LATTICE_WORK = %d"
-                       % MAX_LATTICE_WORK):
-        detect(xs)
+    for m, units in [(50, 10 ** 15), (6, 1728000000000)]:
+        with pytest.raises(ValueError, match="reducing %d values at 2000 digits would take "
+                           r"%d units of lattice work \(\(values x digits\)\^3\), more than "
+                           "the cap MAX_LATTICE_WORK = %d" % (m, units, MAX_LATTICE_WORK)):
+            detect(xs[:m])
     assert time.perf_counter() - start < 0.1
-    assert 13 ** 4 * 420 ** 2 <= MAX_LATTICE_WORK
+    assert (13 * 420) ** 3 <= MAX_LATTICE_WORK
 
 
 def test_the_integer_digits_of_a_value_count_as_lattice_work(monkeypatch):
@@ -445,14 +447,14 @@ def test_the_integer_digits_of_a_value_count_as_lattice_work(monkeypatch):
     monkeypatch.setattr(importlib.import_module("mzvtools.detect"), "lll_reduce", None)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="reducing 2 values at 100039 digits would take "
-                       "%d units of lattice work" % (2 ** 4 * 100039 ** 2)):
+                       "%d units of lattice work" % (2 * 100039) ** 3):
         detect([mpf("1e99999"), mpf(1)], 40)
     assert time.perf_counter() - start < 0.1
 
 
 def test_only_digits_before_the_units_place_count(monkeypatch):
-    # 10 values at 774 digits are 5.99e9 units of work, just below the cap;
-    # a value of 10 or more adds a digit to every entry, 6.006e9 units
+    # 10 values at 584 digits are 1.992e11 units of work, just below the cap;
+    # a value of 10 or more adds a digit to every entry, 2.002e11 units
     class Reached(Exception):
         pass
 
@@ -460,13 +462,13 @@ def test_only_digits_before_the_units_place_count(monkeypatch):
         raise Reached
 
     monkeypatch.setattr(importlib.import_module("mzvtools.detect"), "lll_reduce", reached)
-    with mp.workdps(800):
-        below_ten = [BigReal(mpf(-9.99) / k, 774) for k in range(1, 11)]
+    with mp.workdps(600):
+        below_ten = [BigReal(mpf(-9.99) / k, 584) for k in range(1, 11)]
         with pytest.raises(Reached):
             detect(below_ten)
-        with pytest.raises(ValueError, match="reducing 10 values at 775 digits would take "
-                           "6006250000 units"):
-            detect([BigReal(10, 774)] + below_ten[1:])
+        with pytest.raises(ValueError, match="reducing 10 values at 585 digits would take "
+                           "200201625000 units"):
+            detect([BigReal(10, 584)] + below_ten[1:])
 
 
 def test_needs_at_least_two_inputs():

@@ -35,13 +35,12 @@ def test_parse_text_format():
     g = Graph.parse("V=4; 1-2,1-3,1-4,2-3,2-4,3-4")
     assert g.n_vertices == 4
     assert g.n_edges == 6
-    assert g.loop_number == 3
 
 
 def test_parse_json_format():
     g = Graph.parse('{"vertices": 3, "edges": [[1, 2], [1, 3], [2, 3]]}')
     assert g.n_edges == 3
-    assert g.loop_number == 1
+    assert g.n_vertices == 3
 
 
 def test_parse_round_trip():
@@ -51,7 +50,7 @@ def test_parse_round_trip():
 def test_multi_edges_allowed():
     banana = Graph(2, [(1, 2), (1, 2)])
     assert banana.n_edges == 2
-    assert banana.loop_number == 1
+    assert banana.n_vertices == 2
 
 
 def test_self_loop_rejected():

@@ -11,8 +11,9 @@ import pytest
 from mzvtools import (BigReal, Composition, Graph, bernoulli, build_relation_matrix,
                       count_f_monomials, count_hoffman_words, detect, dimension,
                       enumerate_compositions, hypercube_zeta2, lll_reduce, match_period,
-                      multiple_polylog, mzv_eval, period_monte_carlo,
-                      zeta_euler_maclaurin, zeta_even_closed_form)
+                      mzv_eval, period_monte_carlo, zeta_euler_maclaurin,
+                      zeta_even_closed_form)
+from mzvtools.cli import _value
 from mzvtools.errors import integer_in
 from mzvtools.relations import relation_table
 
@@ -43,7 +44,7 @@ ARGUMENTS = [
     ("samples", lambda x: hypercube_zeta2(x, 0), 1, 4),
     ("seed", lambda x: hypercube_zeta2(4, x), -1, 4),
     ("digits", lambda x: mzv_eval((2,), x), 0, 4),
-    ("digits", lambda x: multiple_polylog((2,), 0.5, x), 0, 4),
+    ("digits", lambda x: _value([(1, [Composition((2,)), Composition((3,))])], x), 0, 4),
     ("digits", lambda x: zeta_euler_maclaurin(3, x), 0, 4),
     ("digits", lambda x: zeta_even_closed_form(4, x), 0, 4),
     ("digits", lambda x: BigReal(Fraction(1, 3), x), 0, 4),

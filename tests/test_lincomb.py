@@ -22,7 +22,7 @@ def test_zero_coefficients_are_dropped():
     x = combo(((2,), 0))
     assert not x
     assert len(x) == 0
-    assert x == LinComb.zero()
+    assert x == LinComb()
 
 
 A, B, C = Composition((2,)), Composition((3,)), Composition((1, 2))
@@ -56,7 +56,7 @@ def test_vector_space_axioms():
     x = combo(((2,), 1), ((3,), 2))
     y = combo(((3,), -2), ((1, 2), 5))
     assert x + y == combo(((2,), 1), ((1, 2), 5))
-    assert x - x == LinComb.zero()
+    assert x - x == LinComb()
     assert -x == combo(((2,), -1), ((3,), -2))
     assert 2 * x == x * 2 == combo(((2,), 2), ((3,), 4))
     assert x * Fraction(1, 2) == combo(((2,), Fraction(1, 2)), ((3,), 1))
@@ -86,7 +86,7 @@ def test_terms_are_canonically_ordered():
 def test_str_formats_signs_and_fractions():
     x = combo(((2,), Fraction(-1, 3)), ((3,), 1))
     assert str(x) == "-1/3*(2) + (3)"
-    assert str(LinComb.zero()) == "0"
+    assert str(LinComb()) == "0"
 
 
 # The public parser of each word kind; the package writes combinations as
@@ -106,7 +106,7 @@ def test_json_round_trip():
     obj = x.to_json_obj()
     assert obj["kind"] == "composition"
     assert from_json_obj(obj) == x
-    assert from_json_obj(LinComb.zero().to_json_obj()) == LinComb.zero()
+    assert from_json_obj(LinComb().to_json_obj()) == LinComb()
 
 
 def test_json_round_trip_binary():

@@ -1,6 +1,6 @@
 """High-precision evaluation: Bernoulli numbers, Euler-Maclaurin, multiple
-polylogarithms, the path-splitting MZV evaluator, and the hypercube
-Monte-Carlo check.  Cross-checks pit independent algorithms against each
+polylogarithms at z = 1/2, the path-splitting MZV evaluator, and the
+hypercube Monte-Carlo check.  Cross-checks pit independent algorithms against each
 other rather than trusting any single route."""
 
 import json
@@ -15,13 +15,13 @@ import pytest
 from mpmath import mp, mpf, pi, zeta as mp_zeta
 
 from mzvtools import (BigReal, Composition, bernoulli, enumerate_compositions,
-                      hypercube_zeta2, multiple_polylog, mzv_eval,
-                      numerics, zeta_euler_maclaurin, zeta_even_closed_form)
+                      hypercube_zeta2, mzv_eval, numerics, zeta_euler_maclaurin,
+                      zeta_even_closed_form)
 from mzvtools.cli import main
 from mzvtools.errors import InvariantError
 from mzvtools.numerics import (GUARD, MAX_DIGITS, MAX_KERNEL_WORK, MAX_SAMPLE_WORK,
                                _first_term_zeros, _path_halves, _polylog_fixed,
-                               _polylog_raw, _scale_bits, _term_counts, _truncation_index,
+                               _scale_bits, _term_counts, _truncation_index,
                                hypercube_integrand, monte_carlo)
 
 # The largest Euler-Maclaurin cutoff, which bounds the Bernoulli index too
@@ -218,10 +218,10 @@ def test_euler_maclaurin_rejects_s_one():
 
 # -------------------------------------------------------------- polylogs
 
-def polylog_brute(parts, z, terms):
-    """Nested-sum evaluation, O(terms^depth); depth <= 2 only."""
+def polylog_brute(parts, terms):
+    """Nested-sum evaluation at z = 1/2, O(terms^depth); depth <= 2 only."""
     with mp.workdps(60):
-        zm = mpf(z.numerator) / z.denominator
+        zm = mpf(1) / 2
         if len(parts) == 1:
             return sum(zm ** k / mpf(k) ** parts[0] for k in range(1, terms))
         total = mpf(0)
@@ -231,9 +231,16 @@ def polylog_brute(parts, z, terms):
         return total
 
 
+def polylog_half(parts, digits):
+    """Li_parts(1/2) from the half-path kernel at digits + GUARD."""
+    dps = digits + GUARD
+    n = _term_counts([parts], dps)[len(parts)]
+    return BigReal((numerics._polylog_half(parts, dps, n), -_scale_bits(dps)), digits)
+
+
 def test_dilogarithm_at_one_half():
     # Li_2(1/2) = pi^2/12 - log(2)^2/2
-    v = multiple_polylog(Composition((2,)), Fraction(1, 2), 40)
+    v = polylog_half((2,), 40)
     with mp.workdps(50):
         expected = pi ** 2 / 12 - mp.log(2) ** 2 / 2
         assert abs(v.value - expected) < mpf(10) ** -38
@@ -241,114 +248,45 @@ def test_dilogarithm_at_one_half():
 
 @pytest.mark.parametrize("parts", [(1,), (2,), (1, 2), (2, 1), (1, 1)])
 def test_polylog_matches_brute_sum_at_half(parts):
-    v = multiple_polylog(Composition(parts), Fraction(1, 2), 20)
-    brute = polylog_brute(parts, Fraction(1, 2), 120)
+    v = polylog_half(parts, 20)
+    brute = polylog_brute(parts, 120)
     with mp.workdps(30):
         assert abs(v.value - brute) < mpf(10) ** -18
 
 
-@pytest.mark.parametrize("parts,z", [((2,), Fraction(1, 10 ** 15)),
-                                     ((2,), Fraction(1, 10 ** 30)),
-                                     ((1, 2), Fraction(1, 10 ** 20))])
-def test_polylog_digits_are_relative_at_small_z(parts, z):
-    # the fixed-point error used to be absolute: Li_2(10^-30) came back as
-    # 0.0 and Li_2(10^-15) as 9.999999999e-16
-    brute = polylog_brute(parts, z, 8)
-    for digits in (10, 20):
-        v = multiple_polylog(parts, z, digits)
-        assert v.nstr() == mp.nstr(brute, digits)
-        assert abs(v.value - brute) < brute * mpf(10) ** (1 - digits)
-
-
-def test_polylog_keeps_its_working_digits_when_the_first_term_is_large(monkeypatch):
-    # t1 = z^r / prod i^(n_i) above 1/10 adds no digits: Li_1(1/2) has
-    # t1 = 1/2, Li_(1,2)(1/2) has 1/16 and gets one more
-    precisions = []
-    raw = numerics._polylog_raw
-    monkeypatch.setattr(numerics, "_polylog_raw",
-                        lambda parts, z, dps, n: precisions.append(dps) or raw(parts, z, dps, n))
-    multiple_polylog((1,), HALF, 20)
-    multiple_polylog((1, 2), HALF, 20)
-    multiple_polylog((2,), Fraction(1, 10 ** 30), 20)
-    assert precisions == [20 + GUARD, 21 + GUARD, 50 + GUARD]
-
-
 def test_polylog_at_one_is_zeta():
-    v = multiple_polylog(Composition((2,)), 1, 40)
+    # Li_2(1) = zeta(2) = pi^2/6
+    v = mzv_eval((2,), 40)
     with mp.workdps(50):
         assert abs(v.value - pi ** 2 / 6) < mpf(10) ** -39
 
 
-def test_polylog_at_one_is_mzv_eval_for_every_word_through_weight_eight():
-    # the z = 1 series once printed wrong digits from depth 2 on and
-    # refused 5 digits of zeta(2)
-    words = [c for w in range(2, 9) for c in enumerate_compositions(w) if c.is_convergent]
-    assert len(words) == 127
-    for digits in (10, 40):
-        for comp in words:
-            assert (multiple_polylog(comp, 1, digits).nstr()
-                    == mzv_eval(comp, digits).nstr()), (comp, digits)
-
-
 def test_polylog_at_one_prints_the_digits_of_zeta_2_3():
-    # zeta(2,3) = 3 zeta(2) zeta(3) - 11/2 zeta(5); the z = 1 series, with
-    # its depth-1 tail bound, printed 0.228810396809
-    assert multiple_polylog((2, 3), 1, 12).nstr() == "0.228810397603"
+    # Li_(2,3)(1) = zeta(2,3) = 3 zeta(2) zeta(3) - 11/2 zeta(5)
+    assert mzv_eval((2, 3), 12).nstr() == "0.228810397603"
 
 
 def test_polylog_validates_raw_tuples():
     # parts below 1 used to be summed as if they were exponents
     for parts in [(-1, 2), (0, 2), (2.5,)]:
         with pytest.raises(ValueError, match="composition part must be an integer >= 1"):
-            multiple_polylog(parts, 0.5, 10)
-    assert multiple_polylog((1, 2), 0.5, 20).nstr() == multiple_polylog(
-        Composition((1, 2)), Fraction(1, 2), 20).nstr()
+            mzv_eval(parts, 10)
+    assert mzv_eval((1, 2), 20).nstr() == mzv_eval(Composition((1, 2)), 20).nstr()
 
 
 def test_polylog_at_one_requires_convergent_word():
-    with pytest.raises(ValueError):
-        multiple_polylog(Composition((1,)), 1, 10)
-
-
-def test_polylog_rejects_z_outside_unit_interval():
-    with pytest.raises(ValueError):
-        multiple_polylog(Composition((2,)), Fraction(3, 2), 10)
-    with pytest.raises(ValueError):
-        multiple_polylog(Composition((2,)), 0, 10)
+    with pytest.raises(ValueError, match=r"^\(1\) diverges"):
+        mzv_eval(Composition((1,)), 10)
 
 
 def test_polylog_divergent_word_fine_below_one():
-    # trailing 1s converge geometrically for z < 1
-    v = multiple_polylog(Composition((1,)), Fraction(1, 2), 30)
+    # trailing 1s converge geometrically at z = 1/2: Li_1(1/2) = log 2
+    v = polylog_half((1,), 30)
     with mp.workdps(40):
         assert abs(v.value - mp.log(2)) < mpf(10) ** -28
 
 
-def test_polylog_z_one_precision_cap(monkeypatch):
-    # at z = 1 the value comes from the path split, with no series
-    assert (multiple_polylog(Composition((2,)), 1, 40).nstr()
-            == mzv_eval((2,), 40).nstr())
-    # just below 1 the series converges too slowly: these ask for 8.7e7
-    # and 9.8e10 terms, the third once failed in a float logarithm, and at
-    # the last -log10(z) underflows to 0; the one work cap refuses them all
-    # before any term is summed
-    kernel = []
-    monkeypatch.setattr(numerics, "_polylog_fixed", lambda *args: kernel.append(args))
-    for z in [1 - Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 9), 1 - Fraction(1, 2 ** 60),
-              1 - Fraction(1, 10 ** 400)]:
-        with pytest.raises(ValueError, match=r"summing at 40 working digits at z = %s would "
-                           r"take more kernel work than the cap MAX_KERNEL_WORK = %d$"
-                           % (z, MAX_KERNEL_WORK)):
-            multiple_polylog(Composition((2,)), z, 30)
-    assert kernel == []
-    # Li_2(1 - 10^-5) at 10 digits, 6,556,942 terms (2.8e7 units), stays below the cap
-    assert _term_counts([(2,)], 1 - Fraction(1, 10 ** 5), 10 + GUARD) == {0: 0, 1: 6556942}
-
-
 # --------------------------------------------- fixed-point polylog kernel
-
-HALF = Fraction(1, 2)
-
 
 def polylog_columns_oracle(words, n, dps):
     """The mpf prefix-sum loop the integer kernel replaced, kept as its
@@ -371,10 +309,9 @@ def polylog_columns_oracle(words, n, dps):
     return cols
 
 
-def powers(z, n):
-    """z^1, ..., z^n at the current precision."""
-    zm = mpf(z.numerator) / z.denominator
-    return [zm ** k for k in range(1, n + 1)]
+def powers(n):
+    """2^-1, ..., 2^-n at the current precision."""
+    return [mpf(2) ** -k for k in range(1, n + 1)]
 
 
 def all_compositions(max_weight):
@@ -392,58 +329,34 @@ def test_half_path_kernel_matches_the_mpf_oracle(digits, max_weight):
     dps = digits + GUARD
     bits = _scale_bits(dps)
     words = all_compositions(max_weight)
-    ns = {parts: _truncation_index(len(parts), HALF, dps, MAX_KERNEL_WORK) for parts in words}
+    ns = {parts: _truncation_index(len(parts), dps, MAX_KERNEL_WORK) for parts in words}
     cols = polylog_columns_oracle(words, max(ns.values()), dps + 20)
     with mp.workdps(dps + 20):
         unit = mpf(2) ** -bits
-        weights = powers(HALF, max(ns.values()))
+        weights = powers(max(ns.values()))
         for parts in words:
             n = ns[parts]
             exact = mp.fdot(cols[parts][:n], weights[:n])
-            low = exact / unit - _polylog_fixed(parts, HALF, bits, n)
+            low = exact / unit - _polylog_fixed(parts, bits, n)
             assert -1e-6 < low < len(parts) + n, parts
-            low = exact / unit - _polylog_raw(parts, HALF, dps, n)
+            low = exact / unit - numerics._polylog_half(parts, dps, n)
             assert -1e-6 < low < 2, parts
             assert low * unit < mpf(2) ** -15 * mpf(10) ** -dps, parts
 
 
-@pytest.mark.parametrize("z,n,bound", [
-    (Fraction(1, 3), 120, lambda depth, n: (depth + 4) * n),
-    (Fraction(1), 1500, lambda depth, n: (depth + 1) * n),
-])
-def test_kernel_matches_the_mpf_oracle_off_one_half(z, n, bound):
-    """At other z the kernel's bound is (depth + 1 + q) * N units, and at
-    z = 1 (depth + 1) * N."""
-    bits = 100
-    words = all_compositions(6)
-    cols = polylog_columns_oracle(words, n, 60)
-    with mp.workdps(60):
-        weights = powers(z, n)
-        for parts in words:
-            low = mp.fdot(cols[parts], weights) * 2 ** bits - _polylog_fixed(parts, z, bits, n)
-            assert -1e-6 < low < bound(len(parts), n), parts
-
-
-def polylog_fixed_row_by_row(parts, z, bits, n):
+def polylog_fixed_row_by_row(parts, bits, n):
     """The row-by-row loop the blocked kernel replaced, kept as its oracle:
     one step per term k and level, with a running prefix sum per level and
-    the same floors, in the order prefix // k^nj, then the weight z^k."""
+    the same floors, in the order prefix // k^nj, then the weight 2^-k."""
     one = 1 << bits
-    p, q = z.numerator, z.denominator
-    s = q.bit_length() - 1
-    shift = p == 1 and q == 1 << s
     *inner, last = parts
     sums = [0] * len(inner)
-    total, weight = 0, one
+    total = 0
     for k in range(1, n + 1):
         prev = one
         for j, nj in enumerate(inner):
             prev, sums[j] = sums[j], sums[j] + prev // k ** nj
-        if shift:
-            total += prev // k ** last >> s * k
-        else:
-            weight = weight * p // q
-            total += prev // k ** last * weight >> bits
+        total += prev // k ** last >> k
     return total
 
 
@@ -453,40 +366,32 @@ BLOCK_EDGES = (1, 2, numerics._BLOCK - 1, numerics._BLOCK, numerics._BLOCK + 1,
                2 * numerics._BLOCK + 3)
 
 
-@pytest.mark.parametrize("z", [HALF, Fraction(1, 4), Fraction(1), Fraction(1, 3),
-                               Fraction(99, 100)], ids=str)
-def test_kernel_equals_the_row_by_row_loop(z):
+def test_kernel_equals_the_row_by_row_loop():
     """The blocked kernel returns exactly the row-by-row loop's int for
     every composition of weight <= 6, across the block edges."""
     for parts in all_compositions(6):
         for n in BLOCK_EDGES:
             for bits in (40, 1100):
-                assert (_polylog_fixed(parts, z, bits, n)
-                        == polylog_fixed_row_by_row(parts, z, bits, n)), (parts, n, bits)
+                assert (_polylog_fixed(parts, bits, n)
+                        == polylog_fixed_row_by_row(parts, bits, n)), (parts, n, bits)
 
 
 def test_divisors_off_the_tables_are_summed_alike():
-    """A part above _TABLE_EXPONENT, or a term past _TABLE_TERMS, takes its
-    power term by term, not from the shared tables, with the same sum."""
+    """A part above _TABLE_EXPONENT takes its power term by term, not from
+    the shared tables, with the same sum."""
     big = numerics._TABLE_EXPONENT + 1
-    for parts in [(big,), (2, big), (big, 1, 3), (1, big, big)]:
-        for z in (HALF, Fraction(1, 3)):
-            n = numerics._BLOCK + 5
-            assert _polylog_fixed(parts, z, 200, n) == polylog_fixed_row_by_row(parts, z, 200, n)
+    n = numerics._BLOCK + 5
     numerics._powers.cache_clear()
-    n = numerics._TABLE_TERMS + numerics._BLOCK + 3
-    for parts in [(2,), (1, 2)]:
-        for z in (Fraction(1), Fraction(99, 100)):
-            assert _polylog_fixed(parts, z, 60, n) == polylog_fixed_row_by_row(parts, z, 60, n)
-    # one table per part and block below _TABLE_TERMS, none past it
-    assert numerics._powers.cache_info().currsize == 2 * numerics._TABLE_TERMS // numerics._BLOCK
+    for parts in [(big,), (2, big), (big, 1, 3), (1, big, big)]:
+        assert _polylog_fixed(parts, 200, n) == polylog_fixed_row_by_row(parts, 200, n)
+    # tables for the parts 1, 2 and 3 alone, two blocks each
+    assert numerics._powers.cache_info().currsize == 3 * 2
 
 
 # -------------------------------------------------------------- mzv_eval
 
 def test_precision_beyond_the_cap_fails_before_summing():
     for evaluate in (lambda d: mzv_eval((2,), d),
-                     lambda d: multiple_polylog((2,), HALF, d),
                      lambda d: zeta_euler_maclaurin(3, d),
                      lambda d: zeta_even_closed_form(4, d)):
         with pytest.raises(ValueError, match="digits must be an integer between 1 and %d"
@@ -607,30 +512,53 @@ def test_deep_words_are_refused_before_summing(monkeypatch):
     with pytest.raises(ValueError, match="summing at 769 working digits at z = 1/2 " + cap
                                          + r" \(2399777113 units\)$"):
         mzv_eval((2,) * 200, 10)
-    # depth 400 needs more terms than the cap leaves it, so its work is not counted
-    with pytest.raises(ValueError, match="summing at 1878 working digits at z = 1/2 "
+    # depth 400 needs more terms than the cap leaves it, so its work is not
+    # counted: the word alone, its deeper half, is refused
+    with pytest.raises(ValueError, match="summing at 1757 working digits at z = 1/2 "
                                          + cap + "$"):
-        multiple_polylog((2,) * 400, HALF, 10)
+        mzv_eval((2,) * 400, 10)
     assert time.perf_counter() - start < 1
     assert kernel == []
 
 
-def test_large_parts_count_the_size_of_their_divisors(monkeypatch):
+def test_heavy_words_are_refused_before_their_splits_are_built(monkeypatch):
+    # building every split of a weight-w word takes time that grows with w^2
+    # ((10^4) at 10 digits once took 11 s to be refused), and (2, 10^9)
+    # would raise 2 to the 10^9 for its first term.  A half of depth d sums
+    # at least d terms, so a word whose deeper half, itself or its dual
+    # (depth w - depth), is too deep for the cap is refused from its parts
+    def fail(*args):
+        raise AssertionError("built %s" % (args,))
+    cap = (r"^summing at 20 working digits at z = 1/2 would take more kernel work than "
+           "the cap MAX_KERNEL_WORK = %d$" % MAX_KERNEL_WORK)
+    monkeypatch.setattr(numerics, "_path_halves", fail)
+    start = time.perf_counter()
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_first_term_zeros", fail)
+        for parts in [(10 ** 4,), (10 ** 9,), (2, 10 ** 9), (10 ** 9, 2)]:
+            with pytest.raises(ValueError, match=cap):
+                mzv_eval(parts, 10)
+    # shallower words plan their deeper half alone before the splits: the
+    # dual of (2000), (1,...,1,2), needs more terms than the cap leaves it
+    for parts in [(2000,), (5000,)]:
+        with pytest.raises(ValueError, match=cap):
+            mzv_eval(parts, 10)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_large_parts_count_the_size_of_their_divisors():
     # Li_(10^6)(1/2) plans 70 terms, as any Li_e(1/2) at 10 digits does, but
     # raising k^e to 6 million bits term by term would take tens of seconds:
     # the divisor bits of a part above _TABLE_EXPONENT count, so it is
-    # refused before any term is summed
-    def fail(*args):
-        raise AssertionError("summed %s" % (args,))
-    monkeypatch.setattr(numerics, "_polylog_fixed", fail)
+    # refused by the plan
     start = time.perf_counter()
     with pytest.raises(ValueError, match="summing at 20 working digits at z = 1/2 would "
                        "take more kernel work than the cap MAX_KERNEL_WORK = %d "
                        r"\(316418759 units\)$" % MAX_KERNEL_WORK):
-        multiple_polylog((10 ** 6,), HALF, 10)
+        _term_counts([(10 ** 6,)], 10 + GUARD)
     assert time.perf_counter() - start < 0.1
     # Li_(10^5)(1/2), 0.6-1.0 s of summing, stays below the cap
-    assert _term_counts([(10 ** 5,)], HALF, 10 + GUARD) == {0: 0, 1: 70}
+    assert _term_counts([(10 ** 5,)], 10 + GUARD) == {0: 0, 1: 70}
 
 
 def test_every_word_through_weight_twelve_stays_below_the_work_cap():
@@ -639,13 +567,13 @@ def test_every_word_through_weight_twelve_stays_below_the_work_cap():
     # so the words at one precision share their halves in the cache
     for weight in range(2, 13):
         for comp in enumerate_compositions(weight, convergent_only=True):
-            assert _first_term_zeros(comp.parts, 1) <= GUARD - 2, comp
+            assert _first_term_zeros(comp.parts) <= GUARD - 2, comp
             halves = _path_halves(comp.to_binary().letters)
-            _term_counts(chain.from_iterable(halves), HALF, MAX_DIGITS + GUARD)
+            _term_counts(chain.from_iterable(halves), MAX_DIGITS + GUARD)
 
 
 def test_the_truncation_search_runs_once_per_distinct_argument(monkeypatch):
-    # a sweep asks for the same few (depth, z, dps, limit) over and over;
+    # a sweep asks for the same few (depth, dps, limit) over and over;
     # the memo runs the search once for each and evicts none of them
     asked = []
     memo = numerics._truncation_index

@@ -309,7 +309,7 @@ def sum_theorem_failures(weight):
     target = decompose_in_hoffman_basis(Composition((weight,)))
     return [r for r in range(1, weight)
             if sum((decompose_in_hoffman_basis(c) for c in words if c.depth == r),
-                   LinComb.zero()) != target]
+                   LinComb()) != target]
 
 
 def raised(parts, extra):
