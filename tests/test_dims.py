@@ -7,6 +7,9 @@ from mzvtools.dims import weight_counts
 
 KNOWN_D = [1, 0, 1, 1, 1, 2, 2, 3, 4, 5, 7, 9, 12, 16]
 
+# the real root of X^3 - X - 1, the recurrence's dominant root
+GROWTH_ROOT = float(mp.findroot(lambda x: x ** 3 - x - 1, 1.3))
+
 
 def test_dimension_table():
     assert [dimension(n) for n in range(14)] == KNOWN_D
@@ -59,9 +62,12 @@ def test_weight_counts_rows_are_the_per_weight_counts():
         weight_counts(-1)
 
 
-def test_dimension_growth_matches_root():
-    # the real root of X^3 - X - 1, the recurrence's dominant root
-    r = float(mp.findroot(lambda x: x ** 3 - x - 1, 1.3))
+def test_growth_root_is_the_real_root():
+    r = GROWTH_ROOT
+    assert abs(r ** 3 - r - 1) < 1e-12
     assert 1.3247 < r < 1.3248
+
+
+def test_dimension_growth_matches_root():
     ratio = dimension(200) / dimension(199)
-    assert abs(ratio - r) < 1e-3
+    assert abs(ratio - GROWTH_ROOT) < 1e-3
